@@ -22,12 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .diffusion import DiffusionParams, Path
+from .diffusion import _NOISE_CHUNK, DiffusionParams, Path
 from .errors import ContractError, SimulationError
 from .landscape import Channel2D, check_point, path_potential_many
 from .rng import stream
-
-_NOISE_CHUNK = 1024
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ each term evaluated at its own trained posterior mean; it is asymmetric
 by construction.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -363,11 +362,6 @@ class DistanceMatrix:
             for i, row in enumerate(self.values):
                 cells = ["" if not np.isfinite(v) else f"{v:.17g}" for v in row]
                 fh.write(self.ids[i] + "," + ",".join(cells) + "\n")
-
-    def to_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def distance_matrix(datasets, model, beta, lambda2, trainer, ids=None):

@@ -46,10 +46,12 @@ class ResultBundle:
         return self.result_fields() == other.result_fields()
 
     def save(self, out_dir):
+        """Write bundle.json through a temp file, so it is never seen half written."""
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "bundle.json")
-        with open(path, "w") as fh:
+        with open(path + ".tmp", "w") as fh:
             fh.write(canonical_json(self.to_dict()))
+        os.replace(path + ".tmp", path)
         return path
 
     @classmethod

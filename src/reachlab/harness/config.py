@@ -15,17 +15,6 @@ from ..diffusion import SGDConfig
 from ..errors import ConfigError, ContractError
 from ..tasks import ModelSpec
 
-KINDS = (
-    "kramers-sweep",
-    "label-sweep",
-    "batch-sweep",
-    "complexity-scatter",
-    "finetune-matrix",
-    "structure-curve",
-    "action-check",
-)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A validated experiment: kind, global seed, normalized parameters."""
@@ -272,6 +261,8 @@ _SCHEMAS = {
         "maxiter": _Field("int", required=False, default=1500),
     },
 }
+
+KINDS = tuple(_SCHEMAS)
 
 
 def _cross_validate(kind, seed, p):

@@ -1,16 +1,24 @@
-"""Experiment runners behind the CLI.
+"""Experiment kinds behind the CLI, and the one path that persists them.
 
-Each runner takes a parsed ExperimentConfig, executes its sweep cells
-(concurrently when asked -- every cell draws from its own seed stream,
-so scheduling cannot change results), and persists a ResultBundle plus
-schema-checked CSVs and plot data under the output directory.
+Each kind is a private function ``(cfg, out_dir, workers) -> Outcome``.
+It executes its sweep cells (concurrently when asked -- every cell draws
+from its own seed stream, so scheduling cannot change results) and
+returns records, summary, flags, CSV rows and plot data.
+``run_experiment`` is the only writer of results: it writes the
+schema-checked CSVs (each row a dict projected onto the columns
+registered in ``io.CSV_SCHEMAS``) and the plot files, then the
+ResultBundle, last and atomically, so a ``bundle.json`` on disk means the
+run finished.  The finetune checkpoints and the action-check path CSV
+are per-kind artifacts written while the kind runs.
 
 Domain failures inside a cell (diverged training, an ensemble that
 never converges) flag that cell and the sweep continues; programming
 errors propagate and abort the run.
 """
 
+import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -21,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 from scipy import stats
 
-from .. import action, complexity, diffusion, landscape, rates, tasks
+from .. import action, complexity, diffusion, rates, tasks
 from .._version import __version__
 from ..errors import ContractError, NumericalError, SimulationError, TrainingDivergedError
 from ..rng import stream
@@ -33,13 +41,25 @@ from .config import (
     check_potential,
     parse_config,
 )
-from .io import PlotSet, canonical_json, validate_path_csv, write_csv
+from .io import CSV_SCHEMAS, PlotSet, canonical_json, validate_path_csv, write_csv
 
 # spawn-path tags under the experiment seed; one tag per purpose keeps
 # every consumer on a provably disjoint stream
 _DATA, _CORRUPT, _TRAIN, _CELL, _NOISE = 1, 2, 3, 4, 5
 
 _DOMAIN_ERRORS = (ContractError, NumericalError, SimulationError, TrainingDivergedError)
+
+
+@dataclasses.dataclass(frozen=True)
+class Outcome:
+    """What one experiment kind produced, before anything is written."""
+
+    records: list
+    summary: dict
+    flags: dict = dataclasses.field(default_factory=dict)
+    csvs: dict = dataclasses.field(default_factory=dict)  # registered CSV name -> row dicts
+    plots: list = dataclasses.field(default_factory=list)  # (file, columns, rows)
+    timing: dict = dataclasses.field(default_factory=dict)  # extra timing_stamp fields
 
 
 def _sub_seed(seed, *path):
@@ -52,25 +72,30 @@ def _finite_or_none(x):
     return x if math.isfinite(x) else None
 
 
-def _map_cells(fn, arg_list, workers):
-    """Run cells in order; returns (ok, result-or-message) per cell."""
-    if workers > 1 and len(arg_list) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(arg_list))) as ex:
-            futures = [ex.submit(fn, a) for a in arg_list]
-            out = []
-            for f in futures:
-                try:
-                    out.append((True, f.result()))
-                except _DOMAIN_ERRORS as exc:
-                    out.append((False, f"{type(exc).__name__}: {exc}"))
-            return out
-    out = []
-    for a in arg_list:
-        try:
-            out.append((True, fn(a)))
-        except _DOMAIN_ERRORS as exc:
-            out.append((False, f"{type(exc).__name__}: {exc}"))
-    return out
+def _sweep(fn, cells, workers):
+    """Run ``fn`` over (flag key, args) pairs in order; returns (records, flags).
+
+    A cell that raises a domain error is flagged under its key and the
+    sweep continues.  A list of pairs rather than a dict, because a grid
+    may repeat a value.
+    """
+    pool = None
+    if workers > 1 and len(cells) > 1:
+        pool = ProcessPoolExecutor(max_workers=min(workers, len(cells)))
+    records, flags = [], {}
+    with pool or contextlib.nullcontext():
+        calls = [pool.submit(fn, a).result if pool else functools.partial(fn, a) for _, a in cells]
+        for (key, _), call in zip(cells, calls):
+            try:
+                records.append(call())
+            except _DOMAIN_ERRORS as exc:
+                flags[key] = f"{type(exc).__name__}: {exc}"
+    return records, flags
+
+
+def _plot(fname, rows, *columns):
+    """A plot entry whose columns are fields of the row dicts."""
+    return fname, list(columns), [tuple(r[c] for c in columns) for r in rows]
 
 
 def _spearman(xs, ys):
@@ -154,18 +179,21 @@ def _kramers_cell(args):
     }
 
 
-def run_kramers_sweep(cfg, out_dir, workers=1):
+def _kramers_sweep(cfg, out_dir, workers):
     params, seed = cfg.params, cfg.seed
-    t0 = time.time()
-    args = [(params, seed, k, D) for k, D in enumerate(params["d_grid"])]
-    results = _map_cells(_kramers_cell, args, workers)
-    records, flags = [], {}
-    for (ok, res), D in zip(results, params["d_grid"]):
-        if ok:
-            records.append(res)
-        else:
-            flags[f"D={D:g}"] = res
+    records, flags = _sweep(
+        _kramers_cell,
+        [(f"D={D:g}", (params, seed, k, D)) for k, D in enumerate(params["d_grid"])],
+        workers,
+    )
     summary = {"barrier": None, "barrier_if_half_exponent": None, "fit": None}
+    plots = [
+        (
+            "arrhenius.dat",
+            ["inv_D", "log_mean_time"],
+            [(r["inv_D"], math.log(r["mean_time"])) for r in records],
+        )
+    ]
     if len(records) >= 3:
         fit = rates.arrhenius_fit([(r["inv_D"], r["mean_time"]) for r in records])
         summary = {
@@ -173,65 +201,31 @@ def run_kramers_sweep(cfg, out_dir, workers=1):
             "barrier_if_half_exponent": 2.0 * fit.slope,
             "fit": fit.to_dict(),
         }
-    bundle = ResultBundle(
-        cfg.kind,
-        cfg.snapshot(),
-        __version__,
-        records,
-        summary,
-        flags,
-        timing_stamp(t0, time.time(), workers),
-    )
-    bundle.save(out_dir)
-    write_csv(
-        os.path.join(out_dir, "kramers_sweep.csv"),
-        "kramers_sweep.csv",
-        [
+        plots.append(
             (
-                r["D"],
-                r["inv_D"],
-                r["mean_time"],
-                r["median_time"],
-                r["rate"],
-                r["n_runs"],
-                r["n_censored"],
+                "arrhenius_fit.dat",
+                ["inv_D", "fitted_log_time"],
+                [(r["inv_D"], fit.intercept + fit.slope * r["inv_D"]) for r in records],
             )
-            for r in records
-        ],
-    )
-    plots = PlotSet(out_dir)
-    plots.add(
-        "arrhenius.dat",
-        ["inv_D", "log_mean_time"],
-        [(r["inv_D"], math.log(r["mean_time"])) for r in records],
-    )
-    if summary["fit"] is not None:
-        s, b = summary["fit"]["slope"], summary["fit"]["intercept"]
-        plots.add(
-            "arrhenius_fit.dat",
-            ["inv_D", "fitted_log_time"],
-            [(r["inv_D"], b + s * r["inv_D"]) for r in records],
         )
-    plots.finish()
-    return bundle
+    return Outcome(records, summary, flags, {"kramers_sweep.csv": records}, plots)
 
 
 # -- label-sweep ---------------------------------------------------------------
 
 
-def _label_cell(args):
-    params, seed, k, rho = args
-    model, base = _base_dataset(params, seed)
-    # one corruption stream for the whole grid: corrupted rows nest as
-    # rho grows, so the sweep is not clouded by independent redraws
-    data = tasks.corrupt_labels(base, rho, _sub_seed(seed, _CORRUPT)) if rho > 0 else base
+def _task_cell(params, seed, k, model, data, name):
+    """Loss floor, posterior mean, C_beta and SGD convergence on one task.
+
+    The body shared by label-sweep and complexity-scatter cells.  Returns (record fields, escape stats, whether both descents converged).
+    """
     task = tasks.Task(data, model)
     trainer = build_trainer(params["trainer"], _sub_seed(seed, _TRAIN))
     threshold, min_loss, descent_ok, _ = _threshold_point(
-        task, trainer, params["threshold_extra"], f"rho={rho:g}"
+        task, trainer, params["threshold_extra"], name
     )
     w_mean, mean_ok, _ = complexity.train_posterior_mean(
-        data, model, params["beta"], params["prior_scale2"], trainer, name=f"rho={rho:g}"
+        data, model, params["beta"], params["prior_scale2"], trainer, name=name
     )
     rep = complexity.c_beta(task, w_mean, params["beta"], params["prior_scale2"])
     st = diffusion.convergence_time(
@@ -242,34 +236,35 @@ def _label_cell(args):
         params["n_runs"],
         _sub_seed(seed, _CELL, k),
     )
-    return {
-        "rho": rho,
+    rec = {
         "c_beta": rep.total,
         "c_beta_parts": rep.to_dict(),
         "median_time": st.median,
         "mean_time": st.mean,
         "n_censored": st.n_censored,
         "n_runs": st.n_runs,
-        "samples": [float(v) for v in st.samples],
         "threshold": threshold,
         "min_loss": min_loss,
-        "descent_converged": bool(descent_ok and mean_ok),
     }
+    return rec, st, bool(descent_ok and mean_ok)
 
 
-def run_label_sweep(cfg, out_dir, workers=1):
+def _label_cell(args):
+    params, seed, k, rho = args
+    model, base = _base_dataset(params, seed)
+    # one corruption stream for the whole grid: corrupted rows nest as
+    # rho grows, so the sweep is not clouded by independent redraws
+    data = tasks.corrupt_labels(base, rho, _sub_seed(seed, _CORRUPT)) if rho > 0 else base
+    rec, st, ok = _task_cell(params, seed, k, model, data, f"rho={rho:g}")
+    return {"rho": rho, **rec, "samples": [float(v) for v in st.samples], "descent_converged": ok}
+
+
+def _label_sweep(cfg, out_dir, workers):
     params, seed = cfg.params, cfg.seed
-    t0 = time.time()
     grid = params["corruption_grid"]
-    results = _map_cells(
-        _label_cell, [(params, seed, k, rho) for k, rho in enumerate(grid)], workers
+    records, flags = _sweep(
+        _label_cell, [(f"rho={r:g}", (params, seed, k, r)) for k, r in enumerate(grid)], workers
     )
-    records, flags = [], {}
-    for (ok, res), rho in zip(results, grid):
-        if ok:
-            records.append(res)
-        else:
-            flags[f"rho={rho:g}"] = res
     by_rho = sorted(records, key=lambda r: r["rho"])
     cb = [r["c_beta"] for r in by_rho]
     med = [r["median_time"] for r in by_rho]
@@ -277,45 +272,12 @@ def run_label_sweep(cfg, out_dir, workers=1):
         "spearman_cbeta_time": _spearman(cb, med),
         "cbeta_increasing_in_rho": bool(all(a < b for a, b in zip(cb, cb[1:]))) if cb else False,
     }
-    bundle = ResultBundle(
-        cfg.kind,
-        cfg.snapshot(),
-        __version__,
-        records,
-        summary,
-        flags,
-        timing_stamp(t0, time.time(), workers),
-    )
-    bundle.save(out_dir)
-    write_csv(
-        os.path.join(out_dir, "label_sweep.csv"),
-        "label_sweep.csv",
-        [
-            (
-                r["rho"],
-                r["c_beta"],
-                r["median_time"],
-                r["mean_time"],
-                r["n_censored"],
-                r["n_runs"],
-                r["threshold"],
-                r["min_loss"],
-            )
-            for r in records
-        ],
-    )
-    plots = PlotSet(out_dir)
-    plots.add("complexity_vs_rho.dat", ["rho", "c_beta"], [(r["rho"], r["c_beta"]) for r in by_rho])
-    plots.add(
-        "time_vs_rho.dat", ["rho", "median_time"], [(r["rho"], r["median_time"]) for r in by_rho]
-    )
-    plots.add(
-        "time_vs_complexity.dat",
-        ["c_beta", "median_time"],
-        [(r["c_beta"], r["median_time"]) for r in by_rho],
-    )
-    plots.finish()
-    return bundle
+    plots = [
+        _plot("complexity_vs_rho.dat", by_rho, "rho", "c_beta"),
+        _plot("time_vs_rho.dat", by_rho, "rho", "median_time"),
+        _plot("time_vs_complexity.dat", by_rho, "c_beta", "median_time"),
+    ]
+    return Outcome(records, summary, flags, {"label_sweep.csv": records}, plots)
 
 
 # -- batch-sweep ---------------------------------------------------------------
@@ -354,19 +316,13 @@ def _batch_cell(args):
     }
 
 
-def run_batch_sweep(cfg, out_dir, workers=1):
+def _batch_sweep(cfg, out_dir, workers):
     params, seed = cfg.params, cfg.seed
-    t0 = time.time()
-    grid = params["batch_grid"]
-    results = _map_cells(
-        _batch_cell, [(params, seed, k, B) for k, B in enumerate(grid)], workers
+    records, flags = _sweep(
+        _batch_cell,
+        [(f"B={B}", (params, seed, k, B)) for k, B in enumerate(params["batch_grid"])],
+        workers,
     )
-    records, flags = [], {}
-    for (ok, res), B in zip(results, grid):
-        if ok:
-            records.append(res)
-        else:
-            flags[f"B={B}"] = res
     trace_by_b = {r["batch_size"]: r["noise_trace"] for r in records}
     ratio_pairs = [
         [b, trace_by_b[b] / trace_by_b[2 * b]]
@@ -377,41 +333,8 @@ def run_batch_sweep(cfg, out_dir, workers=1):
         "trace_ratio_pairs": ratio_pairs,
         "max_frobenius_rel_err": max((r["frobenius_rel_err"] for r in records), default=None),
     }
-    bundle = ResultBundle(
-        cfg.kind,
-        cfg.snapshot(),
-        __version__,
-        records,
-        summary,
-        flags,
-        timing_stamp(t0, time.time(), workers),
-    )
-    bundle.save(out_dir)
-    write_csv(
-        os.path.join(out_dir, "batch_sweep.csv"),
-        "batch_sweep.csv",
-        [
-            (
-                r["batch_size"],
-                r["noise_trace"],
-                r["noise_trace_exact"],
-                r["frobenius_rel_err"],
-                r["median_time"],
-                r["mean_time"],
-                r["n_censored"],
-                r["n_runs"],
-            )
-            for r in records
-        ],
-    )
-    plots = PlotSet(out_dir)
-    plots.add(
-        "batch_sweep.dat",
-        ["batch_size", "noise_trace", "median_time"],
-        [(r["batch_size"], r["noise_trace"], r["median_time"]) for r in records],
-    )
-    plots.finish()
-    return bundle
+    plots = [_plot("batch_sweep.dat", records, "batch_size", "noise_trace", "median_time")]
+    return Outcome(records, summary, flags, {"batch_sweep.csv": records}, plots)
 
 
 # -- complexity-scatter --------------------------------------------------------
@@ -421,45 +344,17 @@ def _scatter_cell(args):
     params, seed, k = args
     model, data = _spec_dataset(params, seed, k)
     label = params["tasks"][k]["label"]
-    task = tasks.Task(data, model)
-    trainer = build_trainer(params["trainer"], _sub_seed(seed, _TRAIN))
-    threshold, min_loss, _, _ = _threshold_point(task, trainer, params["threshold_extra"], label)
-    w_mean, _, _ = complexity.train_posterior_mean(
-        data, model, params["beta"], params["prior_scale2"], trainer, name=label
-    )
-    rep = complexity.c_beta(task, w_mean, params["beta"], params["prior_scale2"])
-    st = diffusion.convergence_time(
-        task,
-        complexity.initial_point(model, trainer),
-        threshold,
-        build_sgd(params["sgd"]),
-        params["n_runs"],
-        _sub_seed(seed, _CELL, k),
-    )
-    return {
-        "label": label,
-        "c_beta": rep.total,
-        "c_beta_parts": rep.to_dict(),
-        "median_time": st.median,
-        "mean_time": st.mean,
-        "n_censored": st.n_censored,
-        "n_runs": st.n_runs,
-        "threshold": threshold,
-        "min_loss": min_loss,
-    }
+    rec, _, _ = _task_cell(params, seed, k, model, data, label)
+    return {"label": label, **rec}
 
 
-def run_complexity_scatter(cfg, out_dir, workers=1):
+def _complexity_scatter(cfg, out_dir, workers):
     params, seed = cfg.params, cfg.seed
-    t0 = time.time()
-    n = len(params["tasks"])
-    results = _map_cells(_scatter_cell, [(params, seed, k) for k in range(n)], workers)
-    records, flags = [], {}
-    for (ok, res), spec in zip(results, params["tasks"]):
-        if ok:
-            records.append(res)
-        else:
-            flags[spec["label"]] = res
+    records, flags = _sweep(
+        _scatter_cell,
+        [(spec["label"], (params, seed, k)) for k, spec in enumerate(params["tasks"])],
+        workers,
+    )
     pts = [
         (r["c_beta"], r["median_time"])
         for r in records
@@ -475,32 +370,8 @@ def run_complexity_scatter(cfg, out_dir, workers=1):
         ),
         "log_time_fit": fit,
     }
-    bundle = ResultBundle(
-        cfg.kind,
-        cfg.snapshot(),
-        __version__,
-        records,
-        summary,
-        flags,
-        timing_stamp(t0, time.time(), workers),
-    )
-    bundle.save(out_dir)
-    write_csv(
-        os.path.join(out_dir, "complexity_scatter.csv"),
-        "complexity_scatter.csv",
-        [
-            (r["label"], r["c_beta"], r["median_time"], r["mean_time"], r["n_censored"], r["n_runs"])
-            for r in records
-        ],
-    )
-    plots = PlotSet(out_dir)
-    plots.add(
-        "complexity_scatter.dat",
-        ["c_beta", "median_time"],
-        [(r["c_beta"], r["median_time"]) for r in records],
-    )
-    plots.finish()
-    return bundle
+    plots = [_plot("complexity_scatter.dat", records, "c_beta", "median_time")]
+    return Outcome(records, summary, flags, {"complexity_scatter.csv": records}, plots)
 
 
 # -- finetune-matrix -----------------------------------------------------------
@@ -576,20 +447,16 @@ def _load_checkpoint(ck_dir, cfg_hash, i, j):
     return d.get("record")
 
 
-def run_finetune_matrix(cfg, out_dir, workers=1):
+def _finetune_matrix(cfg, out_dir, workers):
     params, seed = cfg.params, cfg.seed
-    t0 = time.time()
     labels = [s["label"] for s in params["tasks"]]
     n = len(labels)
-    os.makedirs(out_dir, exist_ok=True)
 
-    prep_out = _map_cells(_finetune_prep_cell, [(params, seed, i) for i in range(n)], workers)
-    preps, flags = [None] * n, {}
-    for i, (ok, res) in enumerate(prep_out):
-        if ok:
-            preps[i] = res
-        else:
-            flags[f"prep:{labels[i]}"] = res
+    prep_recs, flags = _sweep(
+        _finetune_prep_cell, [(f"prep:{labels[i]}", (params, seed, i)) for i in range(n)], workers
+    )
+    by_label = {p["label"]: p for p in prep_recs}
+    preps = [by_label.get(label) for label in labels]
 
     cell_ids = [
         (i, j) for i in range(n) for j in range(n) if preps[i] is not None and preps[j] is not None
@@ -605,15 +472,20 @@ def run_finetune_matrix(cfg, out_dir, workers=1):
         else:
             todo.append((i, j))
     reused = len(cells)
-    out = _map_cells(
+    done, cell_flags = _sweep(
         _finetune_cell,
-        [(params, seed, i, j, preps[i]["w_min"], preps[j]["threshold"]) for i, j in todo],
+        [
+            (
+                f"cell:{labels[i]}->{labels[j]}",
+                (params, seed, i, j, preps[i]["w_min"], preps[j]["threshold"]),
+            )
+            for i, j in todo
+        ],
         workers,
     )
-    for (i, j), (ok, res) in zip(todo, out):
-        if not ok:
-            flags[f"cell:{labels[i]}->{labels[j]}"] = res
-            continue
+    flags.update(cell_flags)
+    for res in done:
+        i, j = labels.index(res["from"]), labels.index(res["to"])
         cells[(i, j)] = res
         with open(_checkpoint_path(ck_dir, i, j), "w") as fh:
             fh.write(canonical_json({"config_sha256": cfg_hash, "record": res}))
@@ -633,11 +505,20 @@ def run_finetune_matrix(cfg, out_dir, workers=1):
     )
     dmd = dm.to_json_dict()
 
-    scatter = [
-        (labels[i], labels[j], dmd["values"][i][j], times[i][j])
+    pairs = [
+        {
+            "from": labels[i],
+            "to": labels[j],
+            "distance": dmd["values"][i][j],
+            "median_time": times[i][j],
+        }
         for i in range(n)
         for j in range(n)
-        if i != j and dmd["values"][i][j] is not None and times[i][j] is not None
+    ]
+    scatter = [
+        p
+        for p in pairs
+        if p["from"] != p["to"] and p["distance"] is not None and p["median_time"] is not None
     ]
     agree = disagree = 0
     for i in range(n):
@@ -656,69 +537,27 @@ def run_finetune_matrix(cfg, out_dir, workers=1):
         "distances": dmd["values"],
         "distance_flags": dmd["flags"],
         "base_complexities": dmd["base_totals"],
-        "prep": [p if p is not None else None for p in preps],
-        "spearman_distance_time": _spearman([s[2] for s in scatter], [s[3] for s in scatter]),
+        "prep": preps,
+        "spearman_distance_time": _spearman(
+            [p["distance"] for p in scatter], [p["median_time"] for p in scatter]
+        ),
         "asymmetry_pairs_agree": agree,
         "asymmetry_pairs_total": agree + disagree,
     }
-    bundle = ResultBundle(
-        cfg.kind,
-        cfg.snapshot(),
-        __version__,
-        records,
-        summary,
-        flags,
-        timing_stamp(t0, time.time(), workers, cells_reused=reused),
-    )
-    bundle.save(out_dir)
-    write_csv(
-        os.path.join(out_dir, "finetune_times.csv"),
-        "finetune_times.csv",
-        [
-            (
-                labels[i],
-                labels[j],
-                cells[(i, j)]["median_time"],
-                cells[(i, j)]["mean_time"],
-                cells[(i, j)]["n_censored"],
-                cells[(i, j)]["n_runs"],
-            )
-            for i in range(n)
-            for j in range(n)
-            if (i, j) in cells
-        ],
-    )
-    write_csv(
-        os.path.join(out_dir, "finetune_distances.csv"),
-        "finetune_distances.csv",
-        [
-            (labels[i], labels[j], dmd["values"][i][j])
-            for i in range(n)
-            for j in range(n)
-        ],
-    )
-    write_csv(
-        os.path.join(out_dir, "finetune_scatter.csv"),
-        "finetune_scatter.csv",
-        scatter,
-    )
-    plots = PlotSet(out_dir)
-    if scatter:
-        plots.add(
-            "transfer_scatter.dat",
-            ["distance", "median_time"],
-            [(s[2], s[3]) for s in scatter],
-        )
-    plots.finish()
-    return bundle
+    csvs = {
+        "finetune_times.csv": records,
+        "finetune_distances.csv": pairs,
+        "finetune_scatter.csv": scatter,
+    }
+    plots = [_plot("transfer_scatter.dat", scatter, "distance", "median_time")] if scatter else []
+    return Outcome(records, summary, flags, csvs, plots, {"cells_reused": reused})
 
 
 # -- structure-curve -----------------------------------------------------------
 
 
-def run_structure_curve(cfg, out_dir, workers=1):
+def _structure_curve(cfg, out_dir, workers):
     params, seed = cfg.params, cfg.seed
-    t0 = time.time()
     model, data = _base_dataset(params, seed)
     if params["corruption"] > 0:
         data = tasks.corrupt_labels(data, params["corruption"], _sub_seed(seed, _CORRUPT, 0))
@@ -731,32 +570,14 @@ def run_structure_curve(cfg, out_dir, workers=1):
         "expected_loss_at_beta_max": sc.records[0]["expected_loss"],
         "log_n_classes": math.log(model.n_classes),
     }
-    bundle = ResultBundle(
-        cfg.kind,
-        cfg.snapshot(),
-        __version__,
-        sc.records,
-        summary,
-        {},
-        timing_stamp(t0, time.time(), workers),
-    )
-    bundle.save(out_dir)
-    write_csv(
-        os.path.join(out_dir, "structure_curve.csv"),
-        "structure_curve.csv",
-        [
-            (r["beta"], r["kl_nats"], r["expected_loss"], int(r["converged"]), r["n_iter"])
-            for r in sc.records
-        ],
-    )
-    plots = PlotSet(out_dir)
-    plots.add(
-        "structure_curve.dat",
-        ["kl_nats", "expected_loss"],
-        sorted((r["kl_nats"], r["expected_loss"]) for r in sc.records),
-    )
-    plots.finish()
-    return bundle
+    plots = [
+        (
+            "structure_curve.dat",
+            ["kl_nats", "expected_loss"],
+            sorted((r["kl_nats"], r["expected_loss"]) for r in sc.records),
+        )
+    ]
+    return Outcome(sc.records, summary, csvs={"structure_curve.csv": sc.records}, plots=plots)
 
 
 # -- action-check --------------------------------------------------------------
@@ -772,9 +593,8 @@ def _breakdown_record(name, brk):
     }
 
 
-def run_action_check(cfg, out_dir, workers=1):
+def _action_check(cfg, out_dir, workers):
     params = cfg.params
-    t0 = time.time()
     pot = check_potential(params["potential"])
     w0, wf = np.array(params["start"]), np.array(params["end"])
     T, n_knots, D = params["duration"], params["n_knots"], params["D"]
@@ -783,8 +603,7 @@ def run_action_check(cfg, out_dir, workers=1):
     straight = diffusion.Path(ts, w0[None, :] * (1 - s) + wf[None, :] * s)
     records = [_breakdown_record("straight", action.om_action(pot, straight, D))]
     summary = {"straight_total": records[0]["total"]}
-    os.makedirs(out_dir, exist_ok=True)
-    plots = PlotSet(out_dir)
+    plots = []
     if params["optimize"]:
         crit = action.minimum_action_path(
             pot, w0, wf, T, n_knots, D, opt=action.OptConfig(maxiter=params["maxiter"])
@@ -798,6 +617,7 @@ def run_action_check(cfg, out_dir, workers=1):
             optimizer_converged=bool(crit.converged),
             n_alternates=len(crit.alternates),
         )
+        os.makedirs(out_dir, exist_ok=True)
         path_csv = os.path.join(out_dir, "action_path.csv")
         crit.path.to_csv(path_csv)
         validate_path_csv(path_csv)
@@ -806,44 +626,46 @@ def run_action_check(cfg, out_dir, workers=1):
             rows = [
                 tuple([t] + list(w)) for t, w in zip(crit.path.times, crit.path.points)
             ]
-            plots.add("optimal_path.dat", cols, rows)
-    bundle = ResultBundle(
-        cfg.kind,
-        cfg.snapshot(),
-        __version__,
-        records,
-        summary,
-        {},
-        timing_stamp(t0, time.time(), workers),
-    )
-    bundle.save(out_dir)
-    write_csv(
-        os.path.join(out_dir, "action_check.csv"),
-        "action_check.csv",
-        [
-            (r["path"], r["total"], r["static_term"], r["dynamic_term"], r["defect"])
-            for r in records
-        ],
-    )
-    plots.finish()
-    return bundle
+            plots.append(("optimal_path.dat", cols, rows))
+    return Outcome(records, summary, csvs={"action_check.csv": records}, plots=plots)
 
 
-# -- dispatch ------------------------------------------------------------------
+# -- dispatch and persistence --------------------------------------------------
 
 RUNNERS = {
-    "kramers-sweep": run_kramers_sweep,
-    "label-sweep": run_label_sweep,
-    "batch-sweep": run_batch_sweep,
-    "complexity-scatter": run_complexity_scatter,
-    "finetune-matrix": run_finetune_matrix,
-    "structure-curve": run_structure_curve,
-    "action-check": run_action_check,
+    "kramers-sweep": _kramers_sweep,
+    "label-sweep": _label_sweep,
+    "batch-sweep": _batch_sweep,
+    "complexity-scatter": _complexity_scatter,
+    "finetune-matrix": _finetune_matrix,
+    "structure-curve": _structure_curve,
+    "action-check": _action_check,
 }
 
 
 def run_experiment(cfg, out_dir, workers=1):
-    return RUNNERS[cfg.kind](cfg, out_dir, workers=workers)
+    """Run ``cfg``'s kind, write its CSVs and plots, then its bundle."""
+    t0 = time.time()
+    out = RUNNERS[cfg.kind](cfg, out_dir, workers)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, rows in out.csvs.items():
+        cols = [c for c, _ in CSV_SCHEMAS[name]]
+        write_csv(os.path.join(out_dir, name), name, [[r[c] for c in cols] for r in rows])
+    plots = PlotSet(out_dir)
+    for fname, columns, rows in out.plots:
+        plots.add(fname, columns, rows)
+    plots.finish()
+    bundle = ResultBundle(
+        cfg.kind,
+        cfg.snapshot(),
+        __version__,
+        out.records,
+        out.summary,
+        out.flags,
+        timing_stamp(t0, time.time(), workers, **out.timing),
+    )
+    bundle.save(out_dir)
+    return bundle
 
 
 def rerun(bundle_path, out_dir, workers=1):

@@ -320,39 +320,6 @@ class Channel2D(Potential):
         return a2 + 0.5 * b2 * v * v + bv
 
 
-class ModelLoss(Potential):
-    """Regularized training loss of a task, viewed as a potential.
-
-    value/grad are the exact loss and gradient (cross-entropy plus weight
-    decay).  ``hessian`` returns the Fisher/Gauss-Newton surrogate
-    F + weight_decay * I: positive semidefinite by construction, exact for
-    the linear-logit family, and the curvature object every complexity
-    formula in this package uses.
-    """
-
-    def __init__(self, task):
-        from . import tasks  # deferred: tasks does not import landscape
-
-        self._tasks = tasks
-        self.task = task
-        self.dim = task.model.n_params
-
-    def value(self, w):
-        w = check_point(self, w)
-        return self._tasks.loss(self.task, w)
-
-    def grad(self, w):
-        w = check_point(self, w)
-        return self._tasks.grad_loss(self.task, w)
-
-    def hessian(self, w):
-        from . import complexity  # deferred: avoids import cycle
-
-        w = check_point(self, w)
-        F = complexity.fisher(self.task, w)
-        return F + self.task.model.weight_decay * np.eye(self.dim)
-
-
 def drift(p, w):
     """Deterministic drift of the overdamped dynamics: -grad U(w)."""
     return -p.grad(check_point(p, w))
@@ -377,20 +344,15 @@ def path_potential_many(p, W, D):
     return 0.5 * np.sum(G * G, axis=1) - D * p.laplacian_many(W)
 
 
-def effective_potential(p, w, D, eig_floor=1e-6, logdet_sign=+1):
+def effective_potential(p, w, D, eig_floor=1e-6):
     """Curvature-corrected potential U(w) + D * log det_+ hess U(w).
 
     det_+ keeps eigenvalues above ``eig_floor * max(|lambda|_max, 1)``;
     if none qualify (e.g. at a saddle of a 1-D double well) the log term
-    is zero and the bare potential is returned.  ``logdet_sign=-1`` flips
-    the correction's sign; the flag exists so the two conventions can be
-    compared side by side, and nothing downstream depends on the minus
-    variant.
+    is zero and the bare potential is returned.
     """
     if D < 0:
         raise ContractError("D must be nonnegative")
-    if logdet_sign not in (+1, -1):
-        raise ContractError("logdet_sign must be +1 or -1")
     w = check_point(p, w)
     H = p.hessian(w)
     try:
@@ -400,7 +362,7 @@ def effective_potential(p, w, D, eig_floor=1e-6, logdet_sign=+1):
     floor = eig_floor * max(np.max(np.abs(eigs)), 1.0)
     kept = eigs[eigs > floor]
     logdet = float(np.sum(np.log(kept))) if kept.size else 0.0
-    return float(p.value(w) + logdet_sign * D * logdet)
+    return float(p.value(w) + D * logdet)
 
 
 _BUILTIN_NAMES = {

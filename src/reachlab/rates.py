@@ -50,8 +50,10 @@ def kramers_double_well(p, D, min_loc, saddle_loc):
     """
     if not (np.isfinite(D) and D > 0):
         raise ContractError("D must be positive")
-    c_min = float(p.hessian(min_loc)[0, 0]) if p.dim == 1 else _along_unstable(p, min_loc)
-    c_sad = float(p.hessian(saddle_loc)[0, 0]) if p.dim == 1 else _along_unstable(p, saddle_loc)
+    if p.dim != 1:
+        raise ContractError("kramers_double_well supports 1-D potentials only")
+    c_min = float(p.hessian(min_loc)[0, 0])
+    c_sad = float(p.hessian(saddle_loc)[0, 0])
     if c_min <= 0:
         raise ContractError(f"curvature at the minimum must be positive, got {c_min:.3g}")
     if c_sad >= 0:
@@ -60,11 +62,6 @@ def kramers_double_well(p, D, min_loc, saddle_loc):
     if dU <= 0:
         raise ContractError("saddle must sit above the minimum")
     return float(np.sqrt(c_min * abs(c_sad)) / (2.0 * np.pi) * np.exp(-dU / D))
-
-
-def _along_unstable(p, w):
-    # 1-D formula only; higher dimensions would need the full eigenstructure
-    raise ContractError("kramers_double_well supports 1-D potentials only")
 
 
 @dataclass(frozen=True)

@@ -46,7 +46,7 @@ KRAMERS_FULL = {
 def kramers_bundle(tmp_path_factory):
     cfg = parse_config("kramers-sweep", dict(KRAMERS_FULL))
     out = tmp_path_factory.mktemp("kramers_full")
-    return experiments.run_kramers_sweep(cfg, str(out))
+    return experiments.run_experiment(cfg, str(out))
 
 
 def _exact_mean_passage(D, x_start, x_hit):
@@ -198,7 +198,7 @@ def test_criterion_04_minibatch_noise_scaling(tmp_path):
         "threshold_extra": 0.1,
     }
     cfg = parse_config("batch-sweep", raw)
-    b = experiments.run_batch_sweep(cfg, str(tmp_path))
+    b = experiments.run_experiment(cfg, str(tmp_path))
     ratios = [r for _, r in b.summary["trace_ratio_pairs"]]
     frob = b.summary["max_frobenius_rel_err"]
     ok = all(abs(r / 2.0 - 1.0) <= 0.10 for r in ratios) and frob <= 0.10
@@ -388,7 +388,7 @@ def test_criterion_09_label_sweep_trend(tmp_path):
     }
     t0 = time.time()
     cfg = parse_config("label-sweep", raw)
-    b = experiments.run_label_sweep(cfg, str(tmp_path))
+    b = experiments.run_experiment(cfg, str(tmp_path))
     wall = time.time() - t0
     rho = b.summary["spearman_cbeta_time"]
     mono = b.summary["cbeta_increasing_in_rho"]
@@ -433,7 +433,7 @@ def test_criterion_10_finetune_asymmetry(tmp_path):
         "threshold_extra": 0.25,
     }
     cfg = parse_config("finetune-matrix", raw)
-    b = experiments.run_finetune_matrix(cfg, str(tmp_path))
+    b = experiments.run_experiment(cfg, str(tmp_path))
     s = b.summary
     times = s["median_times"]
     n = len(s["labels"])

@@ -1,5 +1,6 @@
 """Config parsing, CLI exit codes, CSV schemas, runners, checkpoints, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -10,7 +11,7 @@ from reachlab.errors import ConfigError, SchemaError
 from reachlab.harness import experiments
 from reachlab.harness.bundle import ResultBundle
 from reachlab.harness.cli import main as cli_main
-from reachlab.harness.config import parse_config
+from reachlab.harness.config import KINDS, parse_config
 from reachlab.harness.io import (
     CSV_SCHEMAS,
     canonical_json,
@@ -59,6 +60,149 @@ FINETUNE_RAW = {
     "n_runs": 4,
     "threshold_extra": 0.1,
 }
+
+
+SCATTER_RAW = {
+    "seed": 3,
+    "model": {"family": "multinomial-logistic", "input_dim": 2, "n_classes": 3},
+    "data": {"n_samples": 60, "separation": 2.5},
+    "tasks": [
+        {"label": "clean", "corruption": 0.0},
+        {"label": "mid", "corruption": 0.4},
+        {"label": "high", "corruption": 0.8},
+    ],
+    "beta": 0.02,
+    "prior_scale2": 1.0,
+    "trainer": {"step_size": 0.3, "max_iters": 3000, "grad_tol": 1e-7},
+    "sgd": {"eta": 0.1, "batch_size": 8, "max_steps": 8000},
+    "n_runs": 4,
+    "threshold_extra": 0.15,
+}
+
+STRUCTURE_RAW = {
+    "seed": 1,
+    "model": {"family": "multinomial-logistic", "input_dim": 1, "n_classes": 2},
+    "data": {"n_samples": 30, "separation": 10.0},
+    "beta_grid": [1e6, 30.0, 0.3, 3e-4],
+    "prior_scale2": 0.01,
+    "trainer": {"step_size": 0.5, "max_iters": 20000, "grad_tol": 1e-10},
+}
+
+ACTION_RAW = {
+    "seed": 0,
+    "potential": {"name": "quadratic", "a": [1.0, 2.0]},
+    "start": [1.2, -0.8],
+    "end": [float(1.2 * np.exp(-1.5)), float(-0.8 * np.exp(-3.0))],
+    "duration": 1.5,
+    "n_knots": 61,
+    "D": 0.001,
+}
+
+BATCH_RAW = {
+    "seed": 4,
+    "model": {"family": "multinomial-logistic", "input_dim": 2, "n_classes": 3},
+    "data": {"n_samples": 30, "separation": 2.0},
+    "batch_grid": [4, 8, 16],
+    "eta": 0.05,
+    "max_steps": 2000,
+    "n_runs": 3,
+    "noise_draws": 400,
+    "trainer": {"step_size": 0.5, "max_iters": 1000, "grad_tol": 1e-7, "init_scale": 0.5},
+    "threshold_extra": 0.1,
+}
+
+# one small config per experiment kind
+MINI_RAW = {
+    "kramers-sweep": KRAMERS_RAW,
+    "label-sweep": LABEL_RAW,
+    "batch-sweep": BATCH_RAW,
+    "complexity-scatter": SCATTER_RAW,
+    "finetune-matrix": FINETUNE_RAW,
+    "structure-curve": STRUCTURE_RAW,
+    "action-check": ACTION_RAW,
+}
+
+# sha256 of every file each mini config writes (bundle.json without timing);
+# a change that moves one must say which output changed and why
+FROZEN_OUTPUTS = {
+    "kramers-sweep": {
+        "bundle.json": "91696985770abff26700fcbfdf77cd6cdbc8d07a1db67db102cdd885dadabf09",
+        "kramers_sweep.csv": "ae69bcaf69f3a0ea583d4b7d60dd253e4d8b0c6dceb4eefefd529ad1fa619c56",
+        "plots/arrhenius.dat": "aacb3e9fb75d9414f00025617d5980a40eea1e614160a6032a7e5e34a199bade",
+        "plots/arrhenius_fit.dat": "189dd9bd6d083eef09a530914733bcc689cba99ee61d1858bf0e091a987bbb16",
+        "plots/manifest.json": "b449e63334a5d006796081e93deeed705d96fb9c213f21c2d303e5f10fc8d3bc",
+    },
+    "label-sweep": {
+        "bundle.json": "82bc201ddc33c95114d0f2fa29603c5eab06007bb3889ff50895cfd04f3a5a6c",
+        "label_sweep.csv": "218250b176df304e0a895f0dd1f5ed16349c6b20235663dcdfa32d1fdeb398f2",
+        "plots/complexity_vs_rho.dat": "d22af321d96a05b90388a3aa8a76c8a9d1005a97a63e761fc54a068b54a6afa6",
+        "plots/manifest.json": "d99fe7269771e223b8f5ac64f8c9d56bbf4e15d861217d2c8c2f244a70873d24",
+        "plots/time_vs_complexity.dat": "eef8d8494ddab95b4969207f77ad8a8364d9fd78291562b964b3f716a5c4458b",
+        "plots/time_vs_rho.dat": "2d3ad096e51fac742a760849d69c4abf3fb4edbde6a7f22f5d15913abcf537d3",
+    },
+    "batch-sweep": {
+        "batch_sweep.csv": "b11eb4c9fa4ba372fc5d1017118dc897b487f3d7fe019388507ebca8cf60b982",
+        "bundle.json": "71c3b7340e72948657af455b332ecd3b843c4c5b6d8671e066e7988e33479ff9",
+        "plots/batch_sweep.dat": "bce799d51bc9f234f9d7991ba8f81d79ea5dc268aa1af833d2bed3059b3cc035",
+        "plots/manifest.json": "e7915591dac2754e54d8dcd5161a8d3916265c5f629bcbbfe90b1de46fa8895f",
+    },
+    "complexity-scatter": {
+        "bundle.json": "4b34d15336109bc9db122bf3224e4798c9d15bd919ef6f995f066eff13801c18",
+        "complexity_scatter.csv": "3f9c662b022aced8d68b69d8a19a64367264eb0ea108f207ee30fa6dd947a0fa",
+        "plots/complexity_scatter.dat": "97d2df176f393b9e2e7bd5bcd7983902bd63279a25c0a093bc8df1bffdc5e12b",
+        "plots/manifest.json": "d6bd110fb5f690d659069793aecaa14e8ccabfdffd9d15d99ed1e64c94481dbd",
+    },
+    "finetune-matrix": {
+        "bundle.json": "01d8874e8575f52b97a878e126e4ef253b63340428d2d734618f38d7295a688c",
+        "checkpoint/cell_0_0.json": "8388b0027ba715505e54026c7577b9aa46c32e06b1e72a11917c71c5edc1e927",
+        "checkpoint/cell_0_1.json": "5f0d12e2683b7cbbfecffdb031387b2d1f07fe7df779775d2092e2aa93878704",
+        "checkpoint/cell_1_0.json": "4f31c2089c823aea44649380df158e5967000c073c9cfdceaca9560dd24dd250",
+        "checkpoint/cell_1_1.json": "106d3e4beceba6ec9a4b5f37f316e4ab70d79674f6e8382438ffb3a6a76cd217",
+        "finetune_distances.csv": "a08b3a09fda09f49f086e2f7e557e35c3c334eb2288415eaae23ae0ca2225943",
+        "finetune_scatter.csv": "d11ee0f63221a186ecaeba7d602591c2a277d8d5c672a1a3d0fc5e668f419908",
+        "finetune_times.csv": "b2127ab04af1fcd0cc02d7c070fc9f5972694bf36ca4ce24daa43e9608cc54df",
+        "plots/manifest.json": "35f85aa5c244d255bcf25fde8ea2c776cd4d147db26af95526329f416cab106e",
+        "plots/transfer_scatter.dat": "fb137d7e7adf1cdc135f2ad667cab334506018831db8db10840091660d1c9e95",
+    },
+    "structure-curve": {
+        "bundle.json": "9501b327235b0781fa8446ebf5ac7e7e3d313e8be3d90e046288b2df28f1ca38",
+        "plots/manifest.json": "8efaf30017bba159dea60025bf47ecf4c15d7ab7119add2ad39668211b734788",
+        "plots/structure_curve.dat": "8ed7fbfe448158ffeedd488ca99264a265157f637889195dc2a91fcd65a3e03c",
+        "structure_curve.csv": "d61b21dd86b89f2f96a4d90040d7515858cbdfce0a674cdceda2c650f7875996",
+    },
+    "action-check": {
+        "action_check.csv": "ddaf7e557bef0a8b64b63dc1b4c23218a585051c7092542e8fa76aabcba2366e",
+        "action_path.csv": "68b13ede5731ae70e9b51a8c88dd8ae6d87f3e2e82d64f1448e1838bd605f187",
+        "bundle.json": "33b960e5beb1df6649b2efeea01893668795ee847ee02f199057f55ed6f7d93f",
+        "plots/manifest.json": "688c0ea61a90eb94c863399dd18c3b38b5b8be25c18f46fedd62a0b5dab140ec",
+        "plots/optimal_path.dat": "abb67d2722fa59f17ba55721fdc961b3c10adf3fb88066f5fb7b154ace483594",
+    },
+}
+
+
+def _output_digests(out_dir):
+    """sha256 of every file a run wrote; bundle.json is hashed without timing."""
+    digests = {}
+    for dirpath, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            rel = os.path.relpath(path, out_dir).replace(os.sep, "/")
+            if rel == "bundle.json":
+                data = canonical_json(ResultBundle.load(path).result_fields()).encode()
+            else:
+                with open(path, "rb") as fh:
+                    data = fh.read()
+            digests[rel] = hashlib.sha256(data).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def mini_outputs(tmp_path_factory):
+    """Each mini config run once with one worker: kind -> {file: sha256}."""
+    root = tmp_path_factory.mktemp("mini")
+    for kind, raw in MINI_RAW.items():
+        experiments.run_experiment(parse_config(kind, dict(raw)), str(root / kind), workers=1)
+    return {kind: _output_digests(str(root / kind)) for kind in MINI_RAW}
 
 
 # -- parse_config -------------------------------------------------------------------
@@ -255,7 +399,7 @@ def test_canonical_json_is_sorted_and_rejects_nan():
 
 def test_kramers_runner_outputs(tmp_path):
     cfg = parse_config("kramers-sweep", dict(KRAMERS_RAW))
-    b = experiments.run_kramers_sweep(cfg, str(tmp_path))
+    b = experiments.run_experiment(cfg, str(tmp_path))
     assert len(b.records) == 3
     assert not b.flags
     assert b.summary["barrier"] is not None
@@ -272,7 +416,7 @@ def test_kramers_runner_outputs(tmp_path):
 
 def test_label_runner_outputs(tmp_path):
     cfg = parse_config("label-sweep", dict(LABEL_RAW))
-    b = experiments.run_label_sweep(cfg, str(tmp_path))
+    b = experiments.run_experiment(cfg, str(tmp_path))
     assert len(b.records) == 3
     assert b.summary["cbeta_increasing_in_rho"] is True
     assert all(r["descent_converged"] for r in b.records)
@@ -284,40 +428,16 @@ def test_label_runner_outputs(tmp_path):
 
 
 def test_scatter_runner_outputs(tmp_path):
-    raw = {
-        "seed": 3,
-        "model": {"family": "multinomial-logistic", "input_dim": 2, "n_classes": 3},
-        "data": {"n_samples": 60, "separation": 2.5},
-        "tasks": [
-            {"label": "clean", "corruption": 0.0},
-            {"label": "mid", "corruption": 0.4},
-            {"label": "high", "corruption": 0.8},
-        ],
-        "beta": 0.02,
-        "prior_scale2": 1.0,
-        "trainer": {"step_size": 0.3, "max_iters": 3000, "grad_tol": 1e-7},
-        "sgd": {"eta": 0.1, "batch_size": 8, "max_steps": 8000},
-        "n_runs": 4,
-        "threshold_extra": 0.15,
-    }
-    cfg = parse_config("complexity-scatter", raw)
-    b = experiments.run_complexity_scatter(cfg, str(tmp_path))
+    cfg = parse_config("complexity-scatter", dict(SCATTER_RAW))
+    b = experiments.run_experiment(cfg, str(tmp_path))
     assert [r["label"] for r in b.records] == ["clean", "mid", "high"]
     assert b.summary["spearman_cbeta_time"] is not None
     validate_csv(str(tmp_path / "complexity_scatter.csv"), "complexity_scatter.csv")
 
 
 def test_structure_runner_outputs(tmp_path):
-    raw = {
-        "seed": 1,
-        "model": {"family": "multinomial-logistic", "input_dim": 1, "n_classes": 2},
-        "data": {"n_samples": 30, "separation": 10.0},
-        "beta_grid": [1e6, 30.0, 0.3, 3e-4],
-        "prior_scale2": 0.01,
-        "trainer": {"step_size": 0.5, "max_iters": 20000, "grad_tol": 1e-10},
-    }
-    cfg = parse_config("structure-curve", raw)
-    b = experiments.run_structure_curve(cfg, str(tmp_path))
+    cfg = parse_config("structure-curve", dict(STRUCTURE_RAW))
+    b = experiments.run_experiment(cfg, str(tmp_path))
     assert b.summary["monotone_loss_in_kl"] is True
     assert b.summary["expected_loss_at_beta_max"] == pytest.approx(
         b.summary["log_n_classes"], abs=0.05)
@@ -325,25 +445,16 @@ def test_structure_runner_outputs(tmp_path):
 
 
 def test_action_runner_outputs(tmp_path):
-    raw = {
-        "seed": 0,
-        "potential": {"name": "quadratic", "a": [1.0, 2.0]},
-        "start": [1.2, -0.8],
-        "end": [float(1.2 * np.exp(-1.5)), float(-0.8 * np.exp(-3.0))],
-        "duration": 1.5,
-        "n_knots": 61,
-        "D": 0.001,
-    }
-    cfg = parse_config("action-check", raw)
-    b = experiments.run_action_check(cfg, str(tmp_path))
+    cfg = parse_config("action-check", dict(ACTION_RAW))
+    b = experiments.run_experiment(cfg, str(tmp_path))
     assert [r["path"] for r in b.records] == ["straight", "optimized"]
     assert b.summary["optimizer_converged"] is True
     # relaxing toward the gradient flow must lower the cost
     assert b.summary["action_drop"] > 0
     validate_csv(str(tmp_path / "action_check.csv"), "action_check.csv")
     validate_path_csv(str(tmp_path / "action_path.csv"))
-    raw2 = dict(raw, optimize=False)
-    b2 = experiments.run_action_check(parse_config("action-check", raw2), str(tmp_path / "no_opt"))
+    raw2 = dict(ACTION_RAW, optimize=False)
+    b2 = experiments.run_experiment(parse_config("action-check", raw2), str(tmp_path / "no_opt"))
     assert [r["path"] for r in b2.records] == ["straight"]
     assert "optimized_total" not in b2.summary
 
@@ -351,7 +462,7 @@ def test_action_runner_outputs(tmp_path):
 def test_finetune_runner_direction_and_checkpoints(tmp_path):
     cfg = parse_config("finetune-matrix", dict(FINETUNE_RAW))
     out = tmp_path / "run"
-    b = experiments.run_finetune_matrix(cfg, str(out))
+    b = experiments.run_experiment(cfg, str(out))
     labels = b.summary["labels"]
     assert labels == ["full", "pair"]
     times = b.summary["median_times"]
@@ -365,35 +476,46 @@ def test_finetune_runner_direction_and_checkpoints(tmp_path):
     assert len(os.listdir(out / "checkpoint")) == 4
 
     # a second run over the same directory reuses every cell
-    b2 = experiments.run_finetune_matrix(cfg, str(out))
+    b2 = experiments.run_experiment(cfg, str(out))
     assert b2.timing["cells_reused"] == 4
     assert b2.same_results(b)
 
     # invalidate one cell: only that one is recomputed, results unchanged
     os.remove(out / "checkpoint" / "cell_1_0.json")
-    b3 = experiments.run_finetune_matrix(cfg, str(out))
+    b3 = experiments.run_experiment(cfg, str(out))
     assert b3.timing["cells_reused"] == 3
     assert b3.same_results(b)
 
     # a different config hash ignores stale checkpoints entirely
     cfg2 = parse_config("finetune-matrix", dict(FINETUNE_RAW, seed=5))
-    b4 = experiments.run_finetune_matrix(cfg2, str(out))
+    b4 = experiments.run_experiment(cfg2, str(out))
     assert b4.timing["cells_reused"] == 0
 
 
 def test_bundles_are_deterministic_across_workers(tmp_path):
     cfg = parse_config("kramers-sweep", dict(KRAMERS_RAW))
-    b1 = experiments.run_kramers_sweep(cfg, str(tmp_path / "w1"), workers=1)
-    b2 = experiments.run_kramers_sweep(cfg, str(tmp_path / "w2"), workers=2)
+    b1 = experiments.run_experiment(cfg, str(tmp_path / "w1"), workers=1)
+    b2 = experiments.run_experiment(cfg, str(tmp_path / "w2"), workers=2)
     assert canonical_json(b1.result_fields()) == canonical_json(b2.result_fields())
 
 
 def test_rerun_reproduces_a_bundle_from_its_snapshot(tmp_path):
     cfg = parse_config("kramers-sweep", dict(KRAMERS_RAW))
-    b1 = experiments.run_kramers_sweep(cfg, str(tmp_path / "a"))
+    b1 = experiments.run_experiment(cfg, str(tmp_path / "a"))
     b2 = experiments.rerun(str(tmp_path / "a" / "bundle.json"), str(tmp_path / "b"))
     assert b2.same_results(b1)
     assert b2.timing != {} and b1.timing != {}
+
+
+def test_every_kind_writes_its_frozen_outputs(mini_outputs):
+    for kind in MINI_RAW:
+        assert mini_outputs[kind] == FROZEN_OUTPUTS[kind], kind
+
+
+def test_runners_and_csv_schemas_cover_every_kind(mini_outputs):
+    assert set(experiments.RUNNERS) == set(KINDS)
+    written = {os.path.basename(f) for files in mini_outputs.values() for f in files}
+    assert set(CSV_SCHEMAS) <= written
 
 
 # -- CLI --------------------------------------------------------------------------------
@@ -482,3 +604,17 @@ def test_cli_runtime_failure_exit_three_with_note(tmp_path, capsys):
     assert note["config"]["seed"] == 0
     assert "init_scale" in note["error"]
     assert capsys.readouterr().err.startswith("error: experiment failed")
+
+
+def test_cli_schema_failure_leaves_no_bundle(tmp_path, monkeypatch):
+    # bundle.json is written last, so its presence means the run finished
+    def broken_write_csv(path, name, rows):
+        raise SchemaError(f"{name}: rejected")
+
+    monkeypatch.setattr(experiments, "write_csv", broken_write_csv)
+    cfgp = _write_json(tmp_path / "cfg.json", dict(ACTION_RAW, optimize=False))
+    out = tmp_path / "out"
+    rc = cli_main(["action-check", "--config", cfgp, "--out", str(out)])
+    assert rc == 3
+    assert json.loads((out / "aborted.json").read_text())["kind"] == "action-check"
+    assert not (out / "bundle.json").exists()

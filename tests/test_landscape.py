@@ -143,14 +143,6 @@ def test_effective_potential_drops_nonpositive_directions():
     assert landscape.effective_potential(dw, saddle, 0.1) == pytest.approx(0.25)
 
 
-def test_effective_potential_sign_flip():
-    pot = landscape.Quadratic(np.array([2.0]))
-    w = np.array([1.0])
-    up = landscape.effective_potential(pot, w, 0.1, logdet_sign=+1)
-    dn = landscape.effective_potential(pot, w, 0.1, logdet_sign=-1)
-    assert up - pot.value(w) == pytest.approx(-(dn - pot.value(w)))
-
-
 def test_from_config_round_trips_builtins():
     pot = landscape.from_config({"name": "double_well_1d", "scale": 2.0})
     assert isinstance(pot, landscape.DoubleWell1D)
