@@ -17,7 +17,7 @@ each term evaluated at its own trained posterior mean; it is asymmetric
 by construction.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -202,26 +202,51 @@ def initial_point(model, cfg):
     return cfg.init_scale * stream(cfg.seed).standard_normal(model.n_params)
 
 
-def _gd(w, loss_fn, grad_fn, cfg, name, ridge_curvature=0.0):
+def _gd(W, loss_fn, grad_fn, cfg, name, ridge_curvature=0.0):
+    """Full-batch descent of every row of W (R, P), in lockstep.
+
+    ``grad_fn`` and ``loss_fn`` map a stack of rows to its gradients and
+    losses.  A row freezes once its gradient norm reaches grad_tol, so
+    each row follows exactly the path it would follow alone.  Returns
+    (W, whether every row converged, iterations per row, which rows
+    converged).  A diverging row aborts the whole descent; with R > 1
+    the error names the row as a restart.
+    """
     # harmonic step cap: 1/step = 1/step_size + ridge_curvature, so a stiff
     # quadratic penalty of known curvature can never destabilize the descent
     step = 1.0 / (1.0 / cfg.step_size + ridge_curvature)
-    converged = False
-    it = 0
+    W = np.array(W, dtype=float)
+    R = W.shape[0]
+    iters = np.full(R, cfg.max_iters)
+    converged = np.zeros(R, dtype=bool)
+    rows = np.arange(R)
+    Wa = W.copy()
+
+    def diverged(msg, bad):
+        where = f" in restart {rows[bad][0]}" if R > 1 else ""
+        return TrainingDivergedError(name, msg + where)
+
     for it in range(1, cfg.max_iters + 1):
-        g = grad_fn(w)
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError(name, f"non-finite gradient at iter {it}")
-        gn = float(np.linalg.norm(g))
-        if gn <= cfg.grad_tol:
-            converged = True
-            break
-        w = w - step * g
+        G = grad_fn(Wa)
+        bad = ~np.isfinite(G).all(axis=1)
+        if bad.any():
+            raise diverged(f"non-finite gradient at iter {it}", bad)
+        done = np.sqrt(tasks._sq_norms(G)) <= cfg.grad_tol
+        if done.any():
+            W[rows[done]] = Wa[done]
+            converged[rows[done]] = True
+            iters[rows[done]] = it
+            Wa, G, rows = Wa[~done], G[~done], rows[~done]
+            if not rows.size:
+                break
+        Wa = Wa - step * G
         if it % 50 == 0:
-            L = loss_fn(w)
-            if not np.isfinite(L) or L > 1e6:
-                raise TrainingDivergedError(name, f"loss {L:.3g} at iter {it}")
-    return w, converged, it
+            L = loss_fn(Wa)
+            bad = ~np.isfinite(L) | (L > 1e6)
+            if bad.any():
+                raise diverged(f"loss {L[bad][0]:.3g} at iter {it}", bad)
+    W[rows] = Wa
+    return W, bool(converged.all()), iters, converged
 
 
 def train_posterior_mean(data, model, beta, lambda2, cfg, name="dataset"):
@@ -234,29 +259,44 @@ def train_posterior_mean(data, model, beta, lambda2, cfg, name="dataset"):
     """
     task = tasks.Task(data, model)
     lam = beta / (2.0 * lambda2)
+    W, ok, iters, _ = _gd(
+        initial_point(model, cfg)[None],
+        lambda W: tasks.batch_loss_grad_many(task, W)[0] + lam * tasks._sq_norms(W),
+        lambda W: tasks.batch_loss_grad_many(task, W)[1] + 2.0 * lam * W,
+        cfg,
+        name,
+        ridge_curvature=2.0 * lam,
+    )
+    return W[0], ok, int(iters[0])
 
-    def grad_fn(w):
-        _, g = tasks.batch_loss_grad(task, w)
-        return g + 2.0 * lam * w
 
-    def loss_fn(w):
-        return tasks.cross_entropy(task, w) + lam * float(w @ w)
+def train_minimizers(task, cfg, restarts, name="task"):
+    """Minimize the task's own regularized loss from several starts at once.
 
-    w0 = initial_point(model, cfg)
-    return _gd(w0, loss_fn, grad_fn, cfg, name, ridge_curvature=2.0 * lam)
+    Restart r starts from the initial point of trainer seed cfg.seed + r;
+    all descend in lockstep.  Returns (W (R, P), converged (R,),
+    iterations (R,)); row r is bitwise the train_minimizer result for
+    that seed.
+    """
+    W0 = np.stack(
+        [initial_point(task.model, replace(cfg, seed=cfg.seed + r)) for r in range(restarts)]
+    )
+    gamma = task.model.weight_decay
+    W, _, iters, converged = _gd(
+        W0,
+        lambda W: tasks.loss_many(task, W),
+        lambda W: tasks.batch_loss_grad_many(task, W)[1] + gamma * W,
+        cfg,
+        name,
+        ridge_curvature=gamma,
+    )
+    return W, converged, iters
 
 
 def train_minimizer(task, cfg, name="task"):
     """Minimize the task's own regularized loss by full-batch descent."""
-    w0 = initial_point(task.model, cfg)
-    return _gd(
-        w0,
-        lambda w: tasks.loss(task, w),
-        lambda w: tasks.grad_loss(task, w),
-        cfg,
-        name,
-        ridge_curvature=task.model.weight_decay,
-    )
+    W, converged, iters = train_minimizers(task, cfg, 1, name)
+    return W[0], bool(converged[0]), int(iters[0])
 
 
 # -- structure curves ---------------------------------------------------------

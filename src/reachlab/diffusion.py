@@ -10,7 +10,13 @@ flag exists for realism but breaks that identity.
 
 Ensembles (first passage, convergence times) give run i the Philox stream
 (seed, i), so their statistics do not depend on execution order and are
-bit-identical across --workers settings.
+bit-identical across --workers settings.  Their runs step in lockstep as
+one batched computation, and draw their randomness per run in chunks of
+_NOISE_CHUNK steps.  For SGD with replacement, run i's chunk is
+``integers(0, n, size=(m, B))``, which equals m per-step draws of
+``integers(0, n, size=B)``; draws past the step at which a run stops are
+discarded, so run i's time depends on its own stream alone.  Without
+replacement, and with isotropic noise, each run draws per step.
 """
 
 import warnings
@@ -260,41 +266,56 @@ class SGDConfig:
             raise ContractError("noise must be 'minibatch' or 'isotropic'")
 
 
-def _sgd_step_fn(task, cfg, rng):
-    """Returns step(w) -> (batch CE, new w minus decay term handled inside)."""
+def _sgd_stepper(task, cfg, gens):
+    """Batched SGD for an ensemble whose run i draws from ``gens[i]``.
+
+    Returns step(W, runs, k) -> (batch CE per run, updated W): SGD step k
+    (counted from 0) of the runs ``runs`` (indices into ``gens``), whose
+    weights are the rows of W.  Minibatches drawn with replacement are
+    taken per run in chunks of _NOISE_CHUNK steps, which reproduces the
+    per-step draws; the other modes draw per run and step.
+    """
     n = task.data.n
     gamma = task.model.weight_decay
-    if cfg.full_batch:
-        def step(w):
-            ce, g = tasklib.batch_loss_grad(task, w)
-            return ce, w - cfg.eta * (g + gamma * w)
+    B = cfg.batch_size
 
-        return step
-    if cfg.batch_size > n and not cfg.with_replacement:
+    def update(W, ce, G):
+        return ce, W - cfg.eta * (G + gamma * W)
+
+    if cfg.full_batch:
+        return lambda W, runs, k: update(W, *tasklib.batch_loss_grad_many(task, W))
+    if B > n and not cfg.with_replacement:
         raise ContractError("batch_size exceeds dataset size without replacement")
 
     if cfg.noise == "isotropic":
         d = task.model.n_params
 
-        def step(w):
-            ce, g = tasklib.batch_loss_grad(task, w)
-            gs = tasklib.per_sample_grads(task, w)
-            tr1 = float(np.mean(np.sum(gs * gs, axis=1)) - g @ g)  # trace of Sigma_1
-            amp = np.sqrt(max(tr1, 0.0) / (cfg.batch_size * d))
-            xi = amp * rng.standard_normal(d)
-            return ce, w - cfg.eta * (g + gamma * w + xi)
+        def step(W, runs, k):
+            ce, G = tasklib.batch_loss_grad_many(task, W)
+            xi = np.empty_like(W)
+            for r, i in enumerate(runs):
+                gs = tasklib.per_sample_grads(task, W[r])
+                tr1 = float(np.mean(np.sum(gs * gs, axis=1)) - G[r] @ G[r])  # trace of Sigma_1
+                xi[r] = np.sqrt(max(tr1, 0.0) / (B * d)) * gens[i].standard_normal(d)
+            return ce, W - cfg.eta * (G + gamma * W + xi)
 
         return step
 
-    def step(w):
-        if cfg.with_replacement:
-            idx = rng.integers(0, n, size=cfg.batch_size)
-        else:
-            idx = rng.choice(n, size=cfg.batch_size, replace=False)
-        ce, g = tasklib.batch_loss_grad(task, w, idx)
-        return ce, w - cfg.eta * (g + gamma * w)
+    if not cfg.with_replacement:
+        def draw(runs, k):
+            return np.stack([gens[i].choice(n, size=B, replace=False) for i in runs])
+    else:
+        buf = np.empty((len(gens), _NOISE_CHUNK, B), dtype=np.int64)
 
-    return step
+        def draw(runs, k):
+            c = k % _NOISE_CHUNK
+            if c == 0:
+                m = min(_NOISE_CHUNK, cfg.max_steps - k)
+                for i in runs:
+                    buf[i, :m] = gens[i].integers(0, n, size=(m, B))
+            return buf[runs, c]
+
+    return lambda W, runs, k: update(W, *tasklib.batch_loss_grad_many(task, W, draw(runs, k)))
 
 
 def simulate_sgd(task, w0, cfg, seed):
@@ -307,16 +328,17 @@ def simulate_sgd(task, w0, cfg, seed):
     w = np.asarray(w0, dtype=float).copy()
     if w.shape != (task.model.n_params,):
         raise ContractError(f"w0 must have shape ({task.model.n_params},)")
-    rng = stream(seed)
-    step = _sgd_step_fn(task, cfg, rng)
-    out = [w.copy()]
+    step = _sgd_stepper(task, cfg, [stream(seed)])
+    runs = np.zeros(1, dtype=np.intp)
+    out = [w]
     truncated = False
-    for _ in range(cfg.max_steps):
-        ce, w = step(w)
-        if not np.isfinite(ce) or ce > 1e6 or not np.all(np.isfinite(w)):
+    W = w[None]
+    for k in range(cfg.max_steps):
+        ce, W = step(W, runs, k)
+        if not np.isfinite(ce[0]) or ce[0] > 1e6 or not np.all(np.isfinite(W)):
             truncated = True
             break
-        out.append(w.copy())
+        out.append(W[0])
     W = np.array(out)
     times = np.arange(W.shape[0]) * cfg.eta
     if W.shape[0] < 2:
@@ -369,12 +391,15 @@ def exact_minibatch_covariance(task, w, batch_size):
 def convergence_time(task, w0, threshold, cfg, n_runs, seed):
     """Time (in units of steps * eta) for the full loss to reach threshold.
 
-    Each run is an independent SGD stream from w0; the full-dataset
-    regularized loss is checked after every step, and a start already at
-    or below threshold counts as time 0.  Runs that never reach it within
-    max_steps are censored.  The threshold should sit above the minimum
-    achievable loss; estimating that minimum is the caller's job (the
-    harness uses a preliminary full-batch descent).
+    Each run is an independent SGD stream from w0 (run i draws from
+    stream (seed, i)); the runs step in lockstep as one batched ensemble,
+    and the full-dataset regularized loss of every active run is checked
+    after every step.  A start already at or below threshold counts as
+    time 0.  A run stops when it reaches the threshold; a run whose
+    weights turn non-finite stops too and, like a run that never reaches
+    the threshold within max_steps, is censored.  The threshold should
+    sit above the minimum achievable loss; estimating that minimum is the
+    caller's job (the harness uses a preliminary full-batch descent).
     """
     w0 = np.asarray(w0, dtype=float)
     if not np.isfinite(threshold):
@@ -383,20 +408,26 @@ def convergence_time(task, w0, threshold, cfg, n_runs, seed):
         raise ContractError("n_runs must be >= 1")
     if tasklib.loss(task, w0) <= threshold:
         return EscapeStats.from_times([0.0] * n_runs, n_runs)
-    times = []
-    for i in range(n_runs):
-        rng = stream(seed, i)
-        step = _sgd_step_fn(task, cfg, rng)
-        w = w0.copy()
-        for k in range(1, cfg.max_steps + 1):
-            ce, w = step(w)
-            if not np.all(np.isfinite(w)):
+    step = _sgd_stepper(task, cfg, [stream(seed, i) for i in range(n_runs)])
+    W = np.tile(w0, (n_runs, 1))
+    runs = np.arange(n_runs)
+    passed_at = np.zeros(n_runs, dtype=np.int64)
+    for k in range(cfg.max_steps):
+        W = step(W, runs, k)[1]
+        finite = np.isfinite(W).all(axis=1)
+        if not finite.all():
+            W, runs = W[finite], runs[finite]
+            if not runs.size:
                 break
-            if tasklib.loss(task, w) <= threshold:
-                times.append(k * cfg.eta)
+        hit = tasklib.loss_many(task, W) <= threshold
+        if hit.any():
+            passed_at[runs[hit]] = k + 1
+            W, runs = W[~hit], runs[~hit]
+            if not runs.size:
                 break
-    if not times:
+    times = passed_at[passed_at > 0] * cfg.eta
+    if not times.size:
         raise SimulationError(
             f"no run reached threshold {threshold:.4g} within {cfg.max_steps} steps"
         )
-    return EscapeStats.from_times(times, n_runs)
+    return EscapeStats.from_times(times.tolist(), n_runs)

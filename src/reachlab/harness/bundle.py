@@ -5,7 +5,7 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from .io import canonical_json
+from .io import canonical_json, write_atomic
 
 
 @dataclass(frozen=True)
@@ -49,9 +49,7 @@ class ResultBundle:
         """Write bundle.json through a temp file, so it is never seen half written."""
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "bundle.json")
-        with open(path + ".tmp", "w") as fh:
-            fh.write(canonical_json(self.to_dict()))
-        os.replace(path + ".tmp", path)
+        write_atomic(path, canonical_json(self.to_dict()))
         return path
 
     @classmethod

@@ -7,9 +7,11 @@ returns records, summary, flags, CSV rows and plot data.
 ``run_experiment`` is the only writer of results: it writes the
 schema-checked CSVs (each row a dict projected onto the columns
 registered in ``io.CSV_SCHEMAS``) and the plot files, then the
-ResultBundle, last and atomically, so a ``bundle.json`` on disk means the
-run finished.  The finetune checkpoints and the action-check path CSV
-are per-kind artifacts written while the kind runs.
+ResultBundle, last and atomically.  It first removes an earlier run's
+``bundle.json`` and ``aborted.json``, so a ``bundle.json`` on disk means
+the latest run finished.  The finetune checkpoints (each written
+atomically) and the action-check path CSV are per-kind artifacts written
+while the kind runs.
 
 Domain failures inside a cell (diverged training, an ensemble that
 never converges) flag that cell and the sweep continues; programming
@@ -41,7 +43,7 @@ from .config import (
     check_potential,
     parse_config,
 )
-from .io import CSV_SCHEMAS, PlotSet, canonical_json, validate_path_csv, write_csv
+from .io import CSV_SCHEMAS, PlotSet, canonical_json, validate_path_csv, write_atomic, write_csv
 
 # spawn-path tags under the experiment seed; one tag per purpose keeps
 # every consumer on a provably disjoint stream
@@ -139,15 +141,15 @@ _FLOOR_RESTARTS = 4
 
 
 def _threshold_point(task, trainer, extra, name):
-    """Convergence threshold: estimated minimum loss plus a margin."""
-    min_loss, w_min, ok = np.inf, None, False
-    for r in range(_FLOOR_RESTARTS):
-        tr = dataclasses.replace(trainer, seed=trainer.seed + r)
-        w, conv, _ = complexity.train_minimizer(task, tr, name=name)
-        val = tasks.loss(task, w)
-        if val < min_loss:
-            min_loss, w_min, ok = val, w, conv
-    return float(min_loss + extra), float(min_loss), bool(ok), w_min
+    """Convergence threshold: estimated minimum loss plus a margin.
+
+    The restarts descend in lockstep; the lowest final loss wins, the
+    earliest restart on ties.
+    """
+    W, converged, _ = complexity.train_minimizers(task, trainer, _FLOOR_RESTARTS, name=name)
+    losses = tasks.loss_many(task, W)
+    r = int(np.argmin(losses))
+    return float(losses[r] + extra), float(losses[r]), bool(converged[r]), W[r]
 
 
 # -- kramers-sweep -------------------------------------------------------------
@@ -487,8 +489,9 @@ def _finetune_matrix(cfg, out_dir, workers):
     for res in done:
         i, j = labels.index(res["from"]), labels.index(res["to"])
         cells[(i, j)] = res
-        with open(_checkpoint_path(ck_dir, i, j), "w") as fh:
-            fh.write(canonical_json({"config_sha256": cfg_hash, "record": res}))
+        write_atomic(
+            _checkpoint_path(ck_dir, i, j), canonical_json({"config_sha256": cfg_hash, "record": res})
+        )
 
     records = [cells[(i, j)] for i in range(n) for j in range(n) if (i, j) in cells]
     times = [
@@ -644,7 +647,15 @@ RUNNERS = {
 
 
 def run_experiment(cfg, out_dir, workers=1):
-    """Run ``cfg``'s kind, write its CSVs and plots, then its bundle."""
+    """Run ``cfg``'s kind, write its CSVs and plots, then its bundle.
+
+    An earlier run's ``bundle.json`` and ``aborted.json`` in ``out_dir``
+    are removed first, so neither can outlive the run that follows it;
+    the resumable ``checkpoint/`` directory is kept.
+    """
+    for stale in ("bundle.json", "aborted.json"):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, stale))
     t0 = time.time()
     out = RUNNERS[cfg.kind](cfg, out_dir, workers)
     os.makedirs(out_dir, exist_ok=True)

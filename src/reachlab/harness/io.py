@@ -177,6 +177,13 @@ def canonical_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
+def write_atomic(path, text):
+    """Write ``text`` through a temp file, so ``path`` is never seen half written."""
+    with open(path + ".tmp", "w") as fh:
+        fh.write(text)
+    os.replace(path + ".tmp", path)
+
+
 class PlotSet:
     """Collects .dat plot files plus the manifest naming their axes."""
 

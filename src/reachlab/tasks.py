@@ -283,28 +283,89 @@ def _check_w(model, w):
     return w
 
 
-def _act(name, z):
+def _check_ws(model, W):
+    W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[1] != model.n_params:
+        raise ContractError(f"weights must have shape (R, {model.n_params}), got {W.shape}")
+    return W
+
+
+def _act(name, z, slope):
+    """Activation and, when ``slope``, its derivative."""
     if name == "tanh":
         a = np.tanh(z)
-        return a, 1.0 - a * a
+        return a, (1.0 - a * a if slope else None)
     # softplus; logaddexp keeps large |z| from overflowing
     from scipy.special import expit
 
-    return np.logaddexp(0.0, z), expit(z)
+    return np.logaddexp(0.0, z), (expit(z) if slope else None)
 
 
-def _forward(model, w, X):
-    """Free logits (n, K-1) plus whatever backprop later needs."""
-    K1 = model.n_classes - 1
+# The kernel below carries a leading run axis: weights W (R, P) against
+# inputs shared by every run (n, p) or drawn per run (R, n, p).  Every
+# product is a stacked matmul and every reduction runs along the last
+# axis, so row r is bitwise what the same code computes for W[r] alone;
+# the single-weight functions are its R = 1 case.
+
+
+def _forward(model, W, X, backprop=True):
+    """Free logits (R, n, K-1) plus whatever backprop later needs."""
+    R, K1 = W.shape[0], model.n_classes - 1
     if model.family == "multinomial-logistic":
-        W = w.reshape(K1, model.input_dim)
-        return X @ W.T, None
+        return X @ W.reshape(R, K1, model.input_dim).transpose(0, 2, 1), None
     h, p = model.hidden, model.input_dim
-    W1 = w[: h * p].reshape(h, p)
-    W2 = w[h * p:].reshape(K1, h)
-    Z1 = X @ W1.T
-    A1, dA1 = _act(model.activation, Z1)
-    return A1 @ W2.T, (W1, W2, A1, dA1)
+    W1 = W[:, : h * p].reshape(R, h, p)
+    W2 = W[:, h * p:].reshape(R, K1, h)
+    A1, dA1 = _act(model.activation, X @ W1.transpose(0, 2, 1), backprop)
+    return A1 @ W2.transpose(0, 2, 1), (W2, A1, dA1)
+
+
+def _over_classes(op, Z):
+    """Reduce the short class axis by whole-column ``op``s, bitwise equal to
+    ``op.reduce(Z, axis=-1)``: numpy folds fewer than eight terms left to
+    right, and one column op per class is far cheaper than a reduction per
+    sample.  Eight or more classes keep numpy's own (pairwise) order."""
+    if Z.shape[-1] >= 8:
+        return op.reduce(Z, axis=-1)
+    acc = op(Z[..., 0], Z[..., 1])
+    for k in range(2, Z.shape[-1]):
+        op(acc, Z[..., k], out=acc)
+    return acc
+
+
+def _ce_and_dlogits(model, W, X, y, backprop=True):
+    """Mean cross-entropy per run (R,) on (X, y) and, with ``backprop``,
+    its gradient w.r.t. the free logits (R, n, K-1) and the forward cache."""
+    Z1, cache = _forward(model, W, X, backprop)
+    R, n, K1 = Z1.shape
+    Z = np.concatenate([np.zeros((R, n, 1)), Z1], axis=2)
+    m = _over_classes(np.maximum, Z)
+    E = np.exp(Z - m[..., None])
+    s = _over_classes(np.add, E)
+    at = np.arange(0, R * n * (K1 + 1), K1 + 1).reshape(R, n) + y  # flat index of z_y
+    ce = (m + np.log(s) - Z.ravel()[at]).sum(axis=1) / n
+    if not backprop:
+        return ce, None, None
+    E /= s[..., None]
+    E.ravel()[at] -= 1.0                   # d(mean CE)/d z, per sample
+    return ce, E[..., 1:].copy(), cache
+
+
+def _dlogits_to_grad(model, X, G, cache):
+    R, n = G.shape[:2]
+    Gt = G.transpose(0, 2, 1)
+    if model.family == "multinomial-logistic":
+        return (Gt @ X).reshape(R, -1) / n
+    W2, A1, dA1 = cache
+    gW2 = Gt @ A1 / n
+    Dhid = (G @ W2) * dA1
+    gW1 = Dhid.transpose(0, 2, 1) @ X / n
+    return np.concatenate([gW1.reshape(R, -1), gW2.reshape(R, -1)], axis=1)
+
+
+def _sq_norms(W):
+    """|W[r]|^2 per row, bitwise equal to ``W[r] @ W[r]``."""
+    return (W[:, None, :] @ W[:, :, None])[:, 0, 0]
 
 
 def posterior_probs(task, w, inputs=None):
@@ -312,57 +373,53 @@ def posterior_probs(task, w, inputs=None):
     pinned reference class.  Max-subtracted softmax, safe for huge logits."""
     w = _check_w(task.model, w)
     X = task.data.inputs if inputs is None else np.asarray(inputs, dtype=float)
-    Z1, _ = _forward(task.model, w, X)
+    Z1 = _forward(task.model, w[None], X, backprop=False)[0][0]
     Z = np.concatenate([np.zeros((X.shape[0], 1)), Z1], axis=1)
     Z = Z - Z.max(axis=1, keepdims=True)
     E = np.exp(Z)
     return E / E.sum(axis=1, keepdims=True)
 
 
-def _ce_and_dlogits(model, w, X, y):
-    """Mean cross-entropy on (X, y) and its gradient w.r.t. free logits."""
-    Z1, cache = _forward(model, w, X)
-    Z = np.concatenate([np.zeros((X.shape[0], 1)), Z1], axis=1)
-    m = Z.max(axis=1, keepdims=True)
-    lse = (m[:, 0] + np.log(np.exp(Z - m).sum(axis=1)))
-    ce = float(np.mean(lse - Z[np.arange(len(y)), y]))
-    P = np.exp(Z - m)
-    P /= P.sum(axis=1, keepdims=True)
-    G = P[:, 1:].copy()
-    G[y > 0, y[y > 0] - 1] -= 1.0          # d(mean CE)/d z_free, per sample
-    return ce, G, cache
-
-def _dlogits_to_grad(model, X, G, cache):
-    n = X.shape[0]
-    if model.family == "multinomial-logistic":
-        return (G.T @ X).ravel() / n
-    W1, W2, A1, dA1 = cache
-    gW2 = G.T @ A1 / n
-    Dhid = (G @ W2) * dA1
-    gW1 = Dhid.T @ X / n
-    return np.concatenate([gW1.ravel(), gW2.ravel()])
-
-
 def cross_entropy(task, w, idx=None):
     """Mean cross-entropy alone, without the weight-decay term."""
     w = _check_w(task.model, w)
     X, y = _subset(task, idx)
-    ce, _, _ = _ce_and_dlogits(task.model, w, X, y)
-    return ce
+    return float(_ce_and_dlogits(task.model, w[None], X, y, backprop=False)[0][0])
+
+
+def loss_many(task, W):
+    """``loss`` of every row of W (R, P), shape (R,); row r equals loss(task, W[r])."""
+    W = _check_ws(task.model, W)
+    if task.data.n == 0:
+        raise ContractError("loss of an empty dataset is undefined")
+    X, y = task.data.inputs, task.data.labels
+    ce = _ce_and_dlogits(task.model, W, X, y, backprop=False)[0]
+    return ce + 0.5 * task.model.weight_decay * _sq_norms(W)
 
 
 def loss(task, w):
     """Mean cross-entropy + (weight_decay / 2) |w|^2."""
-    w = _check_w(task.model, w)
-    if task.data.n == 0:
-        raise ContractError("loss of an empty dataset is undefined")
-    return cross_entropy(task, w) + 0.5 * task.model.weight_decay * float(w @ w)
+    return float(loss_many(task, _check_w(task.model, w)[None])[0])
 
 
 def grad_loss(task, w):
     w = _check_w(task.model, w)
     _, g = batch_loss_grad(task, w)
     return g + task.model.weight_decay * w
+
+
+def batch_loss_grad_many(task, W, idx=None):
+    """(mean CE, its gradient) per row of W (R, P): shapes (R,) and (R, P).
+
+    Every run sees the whole dataset, or with ``idx`` (R, B) run r sees
+    rows idx[r]; row r equals batch_loss_grad(task, W[r], idx[r]).
+    """
+    W = _check_ws(task.model, W)
+    if idx is not None and (np.ndim(idx) != 2 or len(idx) != W.shape[0]):
+        raise ContractError("idx must hold one row of sample indices per run")
+    X, y = _subset(task, idx)
+    ce, G, cache = _ce_and_dlogits(task.model, W, X, y)
+    return ce, _dlogits_to_grad(task.model, X, G, cache)
 
 
 def batch_loss_grad(task, w, idx=None):
@@ -372,8 +429,8 @@ def batch_loss_grad(task, w, idx=None):
     """
     w = _check_w(task.model, w)
     X, y = _subset(task, idx)
-    ce, G, cache = _ce_and_dlogits(task.model, w, X, y)
-    return ce, _dlogits_to_grad(task.model, X, G, cache)
+    ce, G, cache = _ce_and_dlogits(task.model, w[None], X, y)
+    return float(ce[0]), _dlogits_to_grad(task.model, X, G, cache)[0]
 
 
 def _subset(task, idx):
@@ -388,18 +445,13 @@ def _subset(task, idx):
 def per_sample_grads(task, w):
     """Rows grad_w(-log p_w(y_i | x_i)), shape (n, n_params); no decay term."""
     w = _check_w(task.model, w)
-    X, y = task.data.inputs, task.data.labels
-    n = task.data.n
-    if n == 0:
-        raise ContractError("empty dataset")
-    model = task.model
-    P = posterior_probs(task, w)
-    G = P[:, 1:].copy()
-    G[y > 0, y[y > 0] - 1] -= 1.0
+    X, y = _subset(task, None)
+    n, model = task.data.n, task.model
+    _, G, cache = _ce_and_dlogits(model, w[None], X, y)
+    G = G[0]
     if model.family == "multinomial-logistic":
         return np.einsum("nk,np->nkp", G, X).reshape(n, -1)
-    Z1p, cache = _forward(model, w, X)
-    W1, W2, A1, dA1 = cache
+    W2, A1, dA1 = (a[0] for a in cache)
     gW2 = np.einsum("nk,nh->nkh", G, A1)
     Dhid = (G @ W2) * dA1
     gW1 = np.einsum("nh,np->nhp", Dhid, X)
@@ -426,8 +478,7 @@ def logit_jacobians(task, w, inputs=None):
             J[:, k, k * p:(k + 1) * p] = X
         return J
     h, p = model.hidden, model.input_dim
-    _, cache = _forward(model, w, X)
-    W1, W2, A1, dA1 = cache
+    W2, A1, dA1 = (a[0] for a in _forward(model, w[None], X)[1])
     # dz_k/dW1[j,:] = W2[k,j] * phi'(z1_j) * x ; dz_k/dW2[l,:] = delta_kl * a1
     J1 = np.einsum("kh,nh,np->nkhp", W2, dA1, X).reshape(n, K1, h * p)
     J2 = np.zeros((n, K1, K1 * h))

@@ -1,5 +1,6 @@
 """Gaussian complexity: KL identities, Fisher curvature, structure curves, distances."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from reachlab.complexity import (
     train_minimizer,
     train_posterior_mean,
 )
-from reachlab.errors import ContractError, NumericalError
+from reachlab.errors import ContractError, NumericalError, TrainingDivergedError
 
 TR = TrainerConfig(step_size=0.3, max_iters=4000, grad_tol=1e-8, init_scale=0.0)
 
@@ -240,6 +241,53 @@ def test_train_minimizer_reaches_interior_optimum():
     w, conv, _ = train_minimizer(t, TR)
     assert conv
     assert np.linalg.norm(tasks.grad_loss(t, w)) <= 1e-8
+
+
+def _reference_descent(task, cfg):
+    """One start's full-batch descent, one Python iteration at a time."""
+    w = complexity.initial_point(task.model, cfg)
+    step = 1.0 / (1.0 / cfg.step_size + task.model.weight_decay)
+    for it in range(1, cfg.max_iters + 1):
+        g = tasks.grad_loss(task, w)
+        if float(np.linalg.norm(g)) <= cfg.grad_tol:
+            return w, True, it
+        w = w - step * g
+    return w, False, cfg.max_iters
+
+
+def test_lockstep_restarts_equal_separate_descents():
+    d = tasks.generate_blobs(3, 50, 2, 2.5, seed=4)
+    t = tasks.Task(d, tasks.ModelSpec("mlp-1-hidden", 2, 3, weight_decay=0.01, hidden=5))
+    cfg = TrainerConfig(step_size=0.3, max_iters=400, grad_tol=5e-3, init_scale=0.3, seed=9)
+    W, conv, iters = complexity.train_minimizers(t, cfg, 3)
+    assert W.shape == (3, t.model.n_params)
+    # two rows freeze at different iterations, the third runs out of budget
+    assert conv.tolist() == [True, True, False] and iters[0] != iters[1]
+    for r in range(3):
+        w, ok, it = _reference_descent(t, dataclasses.replace(cfg, seed=9 + r))
+        assert np.array_equal(W[r], w) and conv[r] == ok and iters[r] == it
+    w, ok, it = train_minimizer(t, dataclasses.replace(cfg, seed=10))
+    assert np.array_equal(W[1], w) and ok and it == iters[1]
+
+
+def test_batched_descent_names_the_diverging_restart():
+    # dL/dw = w^3 with unit steps: rows from 0.5 and 0.3 creep to 0, the
+    # row from 2.0 overshoots to inf within a few iterations
+    cfg = TrainerConfig(step_size=1.0, max_iters=500, grad_tol=1e-3)
+    W0 = np.array([[0.5], [0.3], [2.0]])
+
+    def descend(W):
+        return complexity._gd(W, lambda V: (V**4).sum(axis=1) / 4, lambda V: V**3, cfg, "quartic")
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(TrainingDivergedError, match=r"non-finite gradient at iter \d+ in restart 2"):
+            descend(W0)
+        with pytest.raises(TrainingDivergedError) as one:
+            descend(W0[2:])
+    assert "restart" not in str(one.value)  # a single descent has no restarts to name
+    W, all_ok, iters, conv = descend(W0[:2])
+    assert all_ok and conv.all() and np.all(np.abs(W) < 0.11)
 
 
 def test_initial_point_contracts():

@@ -20,6 +20,7 @@ from reachlab.diffusion import (
     simulate_sgd,
 )
 from reachlab.errors import ContractError, NumericalError, SimulationError
+from reachlab.rng import stream
 
 
 # -- Path ------------------------------------------------------------------------
@@ -328,3 +329,88 @@ def test_convergence_time_contracts(separable):
         convergence_time(separable, np.array([0.0]), np.nan, cfg, 2, seed=0)
     with pytest.raises(ContractError):
         convergence_time(separable, np.array([0.0]), 0.5, cfg, 0, seed=0)
+
+
+def _reference_convergence(task, w0, threshold, cfg, n_runs, seed):
+    """Run i's convergence step, one run and one step at a time.
+
+    The oracle for the lockstep ensemble: each minibatch is drawn from
+    stream (seed, i) when its step comes.  A run whose weights turn
+    non-finite gives 0, a run out of budget None; both are censored.
+    """
+    n, d, B = task.data.n, task.model.n_params, cfg.batch_size
+    gamma = task.model.weight_decay
+    out = []
+    for i in range(n_runs):
+        rng = stream(seed, i)
+        w, hit = np.array(w0, dtype=float), None
+        for k in range(1, cfg.max_steps + 1):
+            if cfg.full_batch or cfg.noise == "isotropic":
+                _, g = tasks.batch_loss_grad(task, w)
+            elif cfg.with_replacement:
+                _, g = tasks.batch_loss_grad(task, w, rng.integers(0, n, size=B))
+            else:
+                _, g = tasks.batch_loss_grad(task, w, rng.choice(n, size=B, replace=False))
+            if cfg.noise == "isotropic" and not cfg.full_batch:
+                gs = tasks.per_sample_grads(task, w)
+                tr1 = float(np.mean(np.sum(gs * gs, axis=1)) - g @ g)
+                xi = np.sqrt(max(tr1, 0.0) / (B * d)) * rng.standard_normal(d)
+                w = w - cfg.eta * (g + gamma * w + xi)
+            else:
+                w = w - cfg.eta * (g + gamma * w)
+            if not np.all(np.isfinite(w)):
+                hit = 0
+                break
+            if tasks.loss(task, w) <= threshold:
+                hit = k
+                break
+        out.append(hit)
+    return out
+
+
+_LOGISTIC = tasks.ModelSpec("multinomial-logistic", 2, 3, weight_decay=0.01)
+_TANH = tasks.ModelSpec("mlp-1-hidden", 2, 3, weight_decay=0.01, hidden=6, activation="tanh")
+_SOFTPLUS = tasks.ModelSpec("mlp-1-hidden", 2, 3, weight_decay=0.01, hidden=6, activation="softplus")
+
+
+@pytest.mark.parametrize(
+    "model, threshold_frac, sgd, n_runs",
+    [
+        # some runs pass before the first refill of the minibatch draws, some after
+        (_LOGISTIC, 0.458, SGDConfig(eta=0.02, batch_size=4, max_steps=2000), 5),
+        (_TANH, 0.6, SGDConfig(eta=0.05, batch_size=4, max_steps=400), 5),
+        # five of eight runs overflow to non-finite weights and are censored
+        (_SOFTPLUS, 0.95, SGDConfig(eta=4.0, batch_size=4, max_steps=1000), 8),
+        (_TANH, 0.6, SGDConfig(eta=0.05, batch_size=7, max_steps=400, with_replacement=False), 4),
+        (_LOGISTIC, 0.6, SGDConfig(eta=0.05, batch_size=4, max_steps=200, full_batch=True), 3),
+        (_LOGISTIC, 0.6, SGDConfig(eta=0.05, batch_size=4, max_steps=200, noise="isotropic"), 4),
+        (_TANH, 0.6, SGDConfig(eta=0.05, batch_size=4, max_steps=300, noise="isotropic"), 3),
+    ],
+    ids=["logistic-refill", "tanh", "softplus-diverging", "without-replacement",
+         "full-batch", "isotropic-logistic", "isotropic-tanh"],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_lockstep_convergence_matches_the_per_run_loop(model, threshold_frac, sgd, n_runs):
+    data = tasks.generate_blobs(3, 40, 2, 2.0, seed=3)
+    t = tasks.Task(data, model)
+    w0 = 0.5 * np.random.default_rng(1).standard_normal(model.n_params)
+    threshold = threshold_frac * tasks.loss(t, w0)
+    ref = _reference_convergence(t, w0, threshold, sgd, n_runs, seed=2)
+    hits = [k for k in ref if k]
+    assert hits, "the case must have passing runs"
+    if sgd.max_steps > 1500:  # the refill case
+        assert min(hits) <= diffusion._NOISE_CHUNK < max(hits)
+    if threshold_frac > 0.9:  # the diverging case
+        assert ref.count(0) == 5
+    if not sgd.full_batch:
+        assert len(set(hits)) > 1  # runs stop at different steps
+    # run i's time depends on i alone, not on how many runs share the ensemble
+    for n in sorted({1, 2, n_runs}):
+        head = [k for k in ref[:n] if k]
+        if not head:
+            with pytest.raises(SimulationError):
+                convergence_time(t, w0, threshold, sgd, n, seed=2)
+            continue
+        es = convergence_time(t, w0, threshold, sgd, n, seed=2)
+        assert es.samples.tolist() == sorted(k * sgd.eta for k in head)
+        assert es.n_censored == n - len(head)

@@ -492,6 +492,22 @@ def test_finetune_runner_direction_and_checkpoints(tmp_path):
     assert b4.timing["cells_reused"] == 0
 
 
+def test_finetune_truncated_checkpoint_is_recomputed(tmp_path):
+    cfg = parse_config("finetune-matrix", dict(FINETUNE_RAW))
+    out = tmp_path / "run"
+    b = experiments.run_experiment(cfg, str(out))
+    ck = out / "checkpoint"
+    assert sorted(os.listdir(ck)) == [f"cell_{i}_{j}.json" for i in range(2) for j in range(2)]
+    whole = (ck / "cell_0_1.json").read_text()
+    # a cell file cut short (a crash mid-write) is ignored and recomputed
+    (ck / "cell_0_1.json").write_text(whole[: len(whole) // 2])
+    b2 = experiments.run_experiment(cfg, str(out))
+    assert b2.timing["cells_reused"] == 3
+    assert b2.same_results(b)
+    assert (ck / "cell_0_1.json").read_text() == whole
+    assert len(os.listdir(ck)) == 4  # no temporary files left behind
+
+
 def test_bundles_are_deterministic_across_workers(tmp_path):
     cfg = parse_config("kramers-sweep", dict(KRAMERS_RAW))
     b1 = experiments.run_experiment(cfg, str(tmp_path / "w1"), workers=1)
@@ -618,3 +634,23 @@ def test_cli_schema_failure_leaves_no_bundle(tmp_path, monkeypatch):
     assert rc == 3
     assert json.loads((out / "aborted.json").read_text())["kind"] == "action-check"
     assert not (out / "bundle.json").exists()
+
+
+def test_cli_rerun_into_a_used_directory_replaces_the_outcome(tmp_path, monkeypatch):
+    # succeed, fail, succeed into one directory: only the latest outcome stays
+    cfgp = _write_json(tmp_path / "cfg.json", dict(ACTION_RAW, optimize=False))
+    out = tmp_path / "out"
+    argv = ["action-check", "--config", cfgp, "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert (out / "bundle.json").exists() and not (out / "aborted.json").exists()
+
+    def broken_write_csv(path, name, rows):
+        raise SchemaError(f"{name}: rejected")
+
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "write_csv", broken_write_csv)
+        assert cli_main(argv) == 3
+    assert (out / "aborted.json").exists() and not (out / "bundle.json").exists()
+
+    assert cli_main(argv) == 0
+    assert (out / "bundle.json").exists() and not (out / "aborted.json").exists()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachlab import tasks
 from reachlab.errors import ContractError
@@ -190,6 +192,67 @@ def test_posterior_probs_rows_normalize():
     # huge logits must not overflow
     P2 = tasks.posterior_probs(t, 1e4 * np.ones(model.n_params))
     assert np.all(np.isfinite(P2))
+
+
+_FAMILIES = [
+    ("multinomial-logistic", "tanh"),
+    ("mlp-1-hidden", "tanh"),
+    ("mlp-1-hidden", "softplus"),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(_FAMILIES),
+    n_classes=st.integers(2, 5),
+    n=st.sampled_from([1, 7, 10, 100, 800]),
+    runs=st.integers(1, 5),
+    batch=st.integers(1, 12),
+    scale=st.floats(0.01, 5.0),
+    seed=st.integers(0, 2**16),
+)
+def test_run_batched_kernel_rows_equal_single_calls(family, n_classes, n, runs, batch, scale, seed):
+    # one implementation: row r of the batched kernel is bitwise the
+    # single-weight call on W[r], on the full data and on per-run batches
+    input_dim = n_classes  # room for the simplex centers
+    model = tasks.ModelSpec(
+        family[0], input_dim, n_classes, weight_decay=0.05, hidden=4, activation=family[1]
+    )
+    d = tasks.generate_blobs(n_classes, max(n, n_classes), input_dim, 2.0, seed=seed)
+    t = tasks.Task(tasks.corrupt_labels(d, 0.3, seed=seed + 1), model)
+    rng = np.random.default_rng(seed)
+    W = scale * rng.standard_normal((runs, model.n_params))
+    idx = rng.integers(0, t.data.n, size=(runs, batch))
+    ce, G = tasks.batch_loss_grad_many(t, W)
+    ce_b, G_b = tasks.batch_loss_grad_many(t, W, idx)
+    L = tasks.loss_many(t, W)
+    assert ce.shape == ce_b.shape == L.shape == (runs,)
+    assert G.shape == G_b.shape == (runs, model.n_params)
+    for r in range(runs):
+        c1, g1 = tasks.batch_loss_grad(t, W[r])
+        c2, g2 = tasks.batch_loss_grad(t, W[r], idx[r])
+        assert c1 == ce[r] and np.array_equal(g1, G[r])
+        assert c2 == ce_b[r] and np.array_equal(g2, G_b[r])
+        assert tasks.loss(t, W[r]) == L[r]
+
+
+@pytest.mark.parametrize("n_classes", range(2, 11))
+def test_class_axis_reductions_equal_numpy_reduce(n_classes):
+    rng = np.random.default_rng(n_classes)
+    Z = rng.standard_normal((3, 50, n_classes)) * 10.0 ** rng.uniform(-3, 3, (3, 50, n_classes))
+    for op in (np.add, np.maximum):
+        assert np.array_equal(tasks._over_classes(op, Z), op.reduce(Z, axis=-1))
+
+
+def test_run_batched_kernel_contracts():
+    model = tasks.ModelSpec("multinomial-logistic", 2, 3)
+    t = tasks.Task(tasks.generate_blobs(3, 12, 2, 2.0, seed=1), model)
+    with pytest.raises(ContractError):
+        tasks.loss_many(t, np.zeros(model.n_params))
+    with pytest.raises(ContractError):
+        tasks.batch_loss_grad_many(t, np.zeros((2, model.n_params + 1)))
+    with pytest.raises(ContractError):
+        tasks.batch_loss_grad_many(t, np.zeros((2, model.n_params)), np.zeros((3, 4), dtype=int))
 
 
 def test_csv_round_trip(tmp_path):
