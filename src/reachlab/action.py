@@ -20,7 +20,6 @@ discretized action over interior knots with its analytic gradient.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .diffusion import _NOISE_CHUNK, DiffusionParams, Path
 from .errors import ContractError, SimulationError
@@ -147,6 +146,8 @@ def minimum_action_path(p, w0, wf, T, n_knots, D, opt=None):
     lowest-action one returned.  Descent uses L-BFGS on the interior
     knots with the analytic action gradient.
     """
+    from scipy.optimize import minimize
+
     w0 = check_point(p, w0)
     wf = check_point(p, wf)
     if not (np.isfinite(T) and T > 0) or n_knots < 3:
@@ -331,9 +332,9 @@ def channel_marginal_check(ch, u0, D, params, n_runs, bins, record_every=5):
     if bins < 4:
         raise ContractError("need at least 4 bins")
     lo, hi = ch.u_box
-    us = np.linspace(lo, hi, 201)
-    bvals = np.array([ch.b.value(np.array([u])) for u in us])
-    acurv = np.array([abs(ch.a.hessian(np.array([u]))[0, 0]) for u in us])
+    us = np.linspace(lo, hi, 201)[:, None]
+    bvals = ch.b.value_many(us)
+    acurv = np.abs(ch.a.hessian_many(us)[:, 0, 0])
     min_b, max_a2 = float(bvals.min()), float(acurv.max())
     if min_b < 2.0 * max_a2:
         import warnings
@@ -361,10 +362,10 @@ def channel_marginal_check(ch, u0, D, params, n_runs, bins, record_every=5):
     hist = counts / counts.sum()
 
     def a_of(u):
-        return np.array([ch.a.value(np.array([x])) for x in u])
+        return ch.a.value_many(u[:, None])
 
     def b_of(u):
-        return np.array([ch.b.value(np.array([x])) for x in u])
+        return ch.b.value_many(u[:, None])
 
     a_ref = a_of(np.array([0.5 * (lo + hi)]))[0]
     corrected = _binned_density(lambda u: np.exp(-(a_of(u) - a_ref) / D) / np.sqrt(b_of(u)), edges)

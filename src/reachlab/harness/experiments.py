@@ -29,7 +29,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
-from scipy import stats
 
 from .. import action, complexity, diffusion, rates, tasks
 from .._version import __version__
@@ -103,6 +102,8 @@ def _plot(fname, rows, *columns):
 def _spearman(xs, ys):
     if len(xs) < 3:
         return None
+    from scipy import stats
+
     rho = stats.spearmanr(xs, ys).statistic
     return _finite_or_none(rho)
 

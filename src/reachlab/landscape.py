@@ -29,8 +29,16 @@ class Potential(ABC):
 
     Evaluation is pure: no caching, no mutation, safe to call from worker
     processes.  Subclasses must implement ``value``, ``grad`` and
-    ``hessian`` for a single point; the batched defaults loop and may be
-    overridden with vectorized versions.
+    ``hessian`` for a single point.  The batched ``value_many``,
+    ``grad_many``, ``laplacian_many`` and ``hessian_many`` defaults loop
+    over those; ``grad_laplacian_many`` is a central difference of the
+    trace of ``hessian_many``, two batched calls per coordinate.
+    Every built-in potential replaces the loops with vectorized forms
+    (``Channel2D`` keeps the finite-difference ``grad_laplacian_many``, over
+    its vectorized ``hessian_many``).  Their ``hessian_many`` and
+    ``grad_laplacian_many`` repeat the scalar arithmetic in the same order
+    and equal the per-point results bit for bit, which keeps the
+    minimum-action descent on the same iterates.
     """
 
     dim: int
@@ -67,21 +75,27 @@ class Potential(ABC):
     def grad_laplacian(self, w):
         """Gradient of lap U, needed by critical-path equations.
 
-        Default is a central finite difference of ``laplacian``; subclasses
+        Default is the one-row case of ``grad_laplacian_many``; subclasses
         with cheap third derivatives override it.
         """
-        w = check_point(self, w)
+        return self.grad_laplacian_many(check_point(self, w)[None])[0]
+
+    def grad_laplacian_many(self, W):
+        """Gradients of lap U at each row of ``W``, shape (n, dim).
+
+        Default is a central finite difference, step 1e-5, of the Hessian
+        trace: two ``hessian_many`` calls per coordinate for the whole batch.
+        """
+        W = self._check_finite_many(W)
         h = 1e-5
-        out = np.empty(self.dim)
+        out = np.empty(W.shape)
         for i in range(self.dim):
             e = np.zeros(self.dim)
             e[i] = h
-            out[i] = (self.laplacian(w + e) - self.laplacian(w - e)) / (2 * h)
+            lp = np.trace(self.hessian_many(W + e), axis1=1, axis2=2)
+            lm = np.trace(self.hessian_many(W - e), axis1=1, axis2=2)
+            out[:, i] = (lp - lm) / (2 * h)
         return out
-
-    def grad_laplacian_many(self, W):
-        W = self._check_many(W)
-        return np.stack([self.grad_laplacian(w) for w in W])
 
     def hessian_many(self, W):
         W = self._check_many(W)
@@ -91,6 +105,17 @@ class Potential(ABC):
         W = np.asarray(W, dtype=float)
         if W.ndim != 2 or W.shape[1] != self.dim:
             raise ContractError(f"expected batch of shape (n, {self.dim}), got {W.shape}")
+        return W
+
+    def _check_finite_many(self, W):
+        """``_check_many`` plus the finiteness test ``check_point`` makes.
+
+        Only the batched derivatives pay for it; ``grad_many`` sits in the
+        per-step loop of the ensemble simulators and does not.
+        """
+        W = self._check_many(W)
+        if not np.all(np.isfinite(W)):
+            raise ContractError("evaluation points must be finite")
         return W
 
 
@@ -145,6 +170,13 @@ class Quadratic(Potential):
         check_point(self, w)
         return np.zeros(self.dim)
 
+    def hessian_many(self, W):
+        W = self._check_finite_many(W)
+        return np.tile(np.diag(self.a), (W.shape[0], 1, 1))
+
+    def grad_laplacian_many(self, W):
+        return np.zeros(self._check_finite_many(W).shape)
+
 
 class DoubleWell1D(Potential):
     """Symmetric double well U(w) = scale * (w^2 - 1)^2 / 4.
@@ -184,12 +216,17 @@ class DoubleWell1D(Potential):
         W = self._check_many(W)
         return self.scale * (3.0 * W[:, 0] ** 2 - 1.0)
 
+    def hessian_many(self, W):
+        w = self._check_finite_many(W)[:, 0]
+        # 3.0 * w * w rounds like the scalar hessian; 3.0 * w ** 2 does not
+        return (self.scale * (3.0 * w * w - 1.0))[:, None, None]
+
     def grad_laplacian(self, w):
         w = check_point(self, w)[0]
         return np.array([6.0 * self.scale * w])
 
     def grad_laplacian_many(self, W):
-        W = self._check_many(W)
+        W = self._check_finite_many(W)
         return 6.0 * self.scale * W
 
 
@@ -239,6 +276,14 @@ class Polynomial1D(Potential):
         W = self._check_many(W)
         return np.polynomial.polynomial.polyval(W[:, 0], self._d2)
 
+    def hessian_many(self, W):
+        W = self._check_finite_many(W)
+        return np.polynomial.polynomial.polyval(W[:, 0], self._d2)[:, None, None]
+
+    def grad_laplacian_many(self, W):
+        W = self._check_finite_many(W)
+        return np.polynomial.polynomial.polyval(W[:, 0], self._d3)[:, None]
+
 
 class Channel2D(Potential):
     """Curved channel U(u, v) = a(u) + 0.5 * b(u) * v^2.
@@ -266,7 +311,7 @@ class Channel2D(Potential):
         self.b = b
         self.u_box = (lo, hi)
         us = np.linspace(lo, hi, n_check)
-        bu = np.array([b.value(np.array([u])) for u in us])
+        bu = b.value_many(us[:, None])
         if bu.min() <= 0:
             raise ContractError(
                 f"b(u) must be positive on u_box; min {bu.min():.3g} at u={us[bu.argmin()]:.3g}"
@@ -318,6 +363,23 @@ class Channel2D(Potential):
         b2 = self.b.laplacian_many(U1)
         bv = self.b.value_many(U1)
         return a2 + 0.5 * b2 * v * v + bv
+
+    def hessian_many(self, W):
+        """Row k is ``hessian(W[k])`` bit for bit, given profiles whose
+        batched value and grad equal their scalar forms (Polynomial1D's do;
+        DoubleWell1D's differ in the last bit, so only as ``a`` is it exact)."""
+        W = self._check_finite_many(W)
+        U1 = W[:, :1]
+        v = W[:, 1]
+        a2 = self.a.hessian_many(U1)[:, 0, 0]
+        bv = self.b.value_many(U1)
+        b1 = self.b.grad_many(U1)[:, 0]
+        b2 = self.b.hessian_many(U1)[:, 0, 0]
+        H = np.empty((W.shape[0], 2, 2))
+        H[:, 0, 0] = a2 + 0.5 * b2 * v * v
+        H[:, 0, 1] = H[:, 1, 0] = b1 * v
+        H[:, 1, 1] = bv
+        return H
 
 
 def drift(p, w):

@@ -20,7 +20,6 @@ pretending the choice is settled.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import ContractError
 
@@ -101,5 +100,7 @@ def arrhenius_fit(points):
         raise ContractError("times must be positive")
     if np.std(xs) == 0:
         raise ContractError("x values are degenerate")
+    from scipy.stats import linregress
+
     fit = linregress(xs, np.log(ts))
     return RateFit(float(fit.slope), float(fit.intercept), float(fit.rvalue**2), pts)

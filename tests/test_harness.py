@@ -3,10 +3,13 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import reachlab
 from reachlab.errors import ConfigError, SchemaError
 from reachlab.harness import experiments
 from reachlab.harness.bundle import ResultBundle
@@ -540,6 +543,21 @@ def test_runners_and_csv_schemas_cover_every_kind(mini_outputs):
 def _write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def test_cli_import_defers_scipy_optimize_and_stats():
+    # only action-check descends and only the summaries fit or rank, so the
+    # CLI must not pay for these imports before it knows the kind
+    src = os.path.dirname(os.path.dirname(reachlab.__file__))
+    code = (
+        "import sys, reachlab.harness.cli; "
+        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_success_exit_zero(tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachlab import landscape
 from reachlab.errors import ContractError
@@ -25,6 +27,43 @@ def fd_hess(p, w, h=1e-5):
     return 0.5 * (H + H.T)
 
 
+def loop_hessian_many(p, W):
+    return np.stack([p.hessian(w) for w in W])
+
+
+def loop_grad_laplacian_many(p, W):
+    """Per-point reference: a scalar override, else the finite difference
+    of the scalar laplacian that the batched default replaced."""
+    if "grad_laplacian" in vars(type(p)):
+        return np.stack([p.grad_laplacian(w) for w in W])
+    h = 1e-5
+    out = np.empty(W.shape)
+    for k, w in enumerate(W):
+        for i in range(p.dim):
+            e = np.zeros(p.dim)
+            e[i] = h
+            out[k, i] = (p.laplacian(w + e) - p.laplacian(w - e)) / (2 * h)
+    return out
+
+
+class ScalarOnly(landscape.Potential):
+    """A user subclass with scalar methods only, so every batched form is a default."""
+
+    dim = 2
+
+    def value(self, w):
+        u, v = landscape.check_point(self, w)
+        return float(u ** 4 / 4 + u * v * v + v ** 2)
+
+    def grad(self, w):
+        u, v = landscape.check_point(self, w)
+        return np.array([u ** 3 + v * v, 2.0 * u * v + 2.0 * v])
+
+    def hessian(self, w):
+        u, v = landscape.check_point(self, w)
+        return np.array([[3.0 * u * u, 2.0 * v], [2.0 * v, 2.0 * u + 2.0]])
+
+
 ALL_POTS = [
     landscape.Quadratic(np.array([1.0, 2.0, 0.5])),
     landscape.DoubleWell1D(),
@@ -34,6 +73,7 @@ ALL_POTS = [
         landscape.DoubleWell1D(),
         landscape.Polynomial1D([3.0, 0.0, 0.5]),
     ),
+    ScalarOnly(),
 ]
 
 
@@ -58,6 +98,75 @@ def test_vectorized_forms_agree_pointwise(pot):
         assert np.isclose(vals[k], pot.value(W[k]), atol=1e-12)
         assert np.allclose(grads[k], pot.grad(W[k]), atol=1e-12)
         assert np.isclose(laps[k], pot.laplacian(W[k]), atol=1e-12)
+    # the derivatives the action descent uses are bitwise the per-point loops
+    assert np.array_equal(pot.hessian_many(W), loop_hessian_many(pot, W))
+    assert np.array_equal(pot.grad_laplacian_many(W), loop_grad_laplacian_many(pot, W))
+    for k in range(8):
+        assert np.array_equal(pot.grad_laplacian(W[k]), loop_grad_laplacian_many(pot, W[k:k + 1])[0])
+
+
+_coef = st.floats(-2.0, 2.0, allow_nan=False)
+_even = st.floats(0.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    a=st.one_of(
+        st.floats(0.1, 5.0).map(landscape.DoubleWell1D),
+        st.lists(_coef, min_size=1, max_size=6).map(landscape.Polynomial1D),
+    ),
+    b=st.tuples(st.floats(0.5, 5.0), _coef, _even, _coef, _even).map(
+        # on |u| <= 2 the odd terms stay below 0.12 and the even part above 0.5
+        lambda c: landscape.Polynomial1D([c[0], 0.02 * c[1], c[2], 0.0025 * c[3], c[4]])
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_channel_batched_derivatives_equal_the_loops_bitwise(a, b, seed):
+    ch = landscape.Channel2D(a, b, u_box=(-2.0, 2.0))
+    W = np.random.default_rng(seed).uniform(-2.0, 2.0, (16, 2))
+    assert np.array_equal(ch.hessian_many(W), loop_hessian_many(ch, W))
+    assert np.array_equal(ch.grad_laplacian_many(W), loop_grad_laplacian_many(ch, W))
+
+
+@pytest.mark.parametrize("pot", ALL_POTS, ids=lambda p: type(p).__name__)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batched_derivatives_reject_nonfinite_rows(pot, bad):
+    W = np.zeros((4, pot.dim))
+    W[2, -1] = bad
+    with pytest.raises(ContractError, match="finite"):
+        pot.hessian_many(W)
+    with pytest.raises(ContractError, match="finite"):
+        pot.grad_laplacian_many(W)
+
+
+_BUILTIN_CONFIGS = {
+    "quadratic": {"name": "quadratic", "a": [1.0, 2.0, 0.5]},
+    "double_well_1d": {"name": "double_well_1d", "scale": 2.5},
+    "polynomial_1d": {"name": "polynomial_1d", "coeffs": [0.3, -1.0, 0.0, 0.25]},
+    "channel_2d": {
+        "name": "channel_2d",
+        "a": {"name": "double_well_1d"},
+        "b": {"name": "polynomial_1d", "coeffs": [2.5, 0.0, 4.0]},
+    },
+}
+
+
+def test_builtin_batched_derivatives_never_call_the_scalar_forms(monkeypatch):
+    # a built-in that fell back to a per-point loop would call these
+    assert set(_BUILTIN_CONFIGS) == set(landscape._BUILTIN_NAMES)
+
+    def scalar_called(self, w):
+        raise AssertionError(f"{type(self).__name__} fell back to a per-point loop")
+
+    classes = {type(landscape.from_config(cfg)) for cfg in _BUILTIN_CONFIGS.values()}
+    for cls in classes:
+        monkeypatch.setattr(cls, "hessian", scalar_called)
+        monkeypatch.setattr(cls, "grad_laplacian", scalar_called)
+    for cfg in _BUILTIN_CONFIGS.values():
+        pot = landscape.from_config(cfg)
+        W = np.random.default_rng(5).uniform(-1.5, 1.5, (64, pot.dim))
+        assert pot.hessian_many(W).shape == (64, pot.dim, pot.dim)
+        assert pot.grad_laplacian_many(W).shape == (64, pot.dim)
 
 
 def test_double_well_shape():
