@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import _NOISE_CHUNK, DiffusionParams, Path
+from .diffusion import _NOISE_CHUNK, DiffusionParams, Path, _langevin_block
 from .errors import ContractError, SimulationError
 from .landscape import Channel2D, check_point, path_potential_many
 from .rng import stream
@@ -241,27 +241,19 @@ def _ensemble_states(p, w0, params, n_runs, record_every=0, record_coord=0, burn
     ``burn_frac`` fraction of the budget, pooled across runs in time-major
     order so the equilibration diagnostic can compare early vs late.
     """
-    w0 = check_point(p, w0)
-    d = p.dim
+    W = np.tile(check_point(p, w0), (n_runs, 1))
     gens = [stream(params.seed, i) for i in range(n_runs)]
-    pos = np.tile(w0, (n_runs, 1))
-    amp = np.sqrt(2.0 * params.D * params.dt)
     burn = int(burn_frac * params.max_steps)
-    recs = []
-    buf = np.empty((n_runs, _NOISE_CHUNK, d))
-    for step in range(params.max_steps):
-        c = step % _NOISE_CHUNK
-        if c == 0:
-            m = min(_NOISE_CHUNK, params.max_steps - step)
-            for i in range(n_runs):
-                buf[i, :m] = gens[i].standard_normal((m, d))
-        pos = pos + params.dt * (-p.grad_many(pos)) + amp * buf[:, c]
-        if record_every and step >= burn and (step - burn) % record_every == 0:
-            recs.append(pos[:, record_coord].copy())
-    if not np.all(np.isfinite(pos)):
+    recs = [np.empty(0)]
+    for k0 in range(0, params.max_steps, _NOISE_CHUNK):
+        traj = _langevin_block(p, W, gens, params, k0)
+        W = traj[-1]
+        if record_every:
+            k = np.arange(k0, k0 + len(traj)) - burn
+            recs.append(traj[(k >= 0) & (k % record_every == 0), :, record_coord].ravel())
+    if not np.all(np.isfinite(W)):
         raise SimulationError("ensemble left the finite region; reduce dt or D")
-    samples = np.concatenate(recs) if recs else np.empty(0)
-    return pos, samples
+    return W.copy(), np.concatenate(recs)
 
 
 def transition_ratio(p, w0, candidates, radius, T, params, n_runs):
@@ -282,13 +274,9 @@ def transition_ratio(p, w0, candidates, radius, T, params, n_runs):
         raise ContractError("T must give between 1 and max_steps steps")
     eff = DiffusionParams(params.D, params.dt, n_steps, params.seed)
     pos, _ = _ensemble_states(p, w0, eff, n_runs)
-    counts = []
-    for c in cands:
-        counts.append(int(np.sum(np.sum((pos - c) ** 2, axis=1) <= radius * radius)))
+    counts = [int(np.sum(np.sum((pos - c) ** 2, axis=1) <= radius * radius)) for c in cands]
     if counts[0] == 0:
-        raise SimulationError(
-            "reference candidate got zero hits; increase n_runs, T, or radius"
-        )
+        raise SimulationError("reference candidate got zero hits; increase n_runs, T, or radius")
     return [ct / counts[0] for ct in counts]
 
 

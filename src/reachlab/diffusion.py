@@ -12,11 +12,15 @@ Ensembles (first passage, convergence times) give run i the Philox stream
 (seed, i), so their statistics do not depend on execution order and are
 bit-identical across --workers settings.  Their runs step in lockstep as
 one batched computation, and draw their randomness per run in chunks of
-_NOISE_CHUNK steps.  For SGD with replacement, run i's chunk is
-``integers(0, n, size=(m, B))``, which equals m per-step draws of
-``integers(0, n, size=B)``; draws past the step at which a run stops are
-discarded, so run i's time depends on its own stream alone.  Without
-replacement, and with isotropic noise, each run draws per step.
+_NOISE_CHUNK steps.  A Langevin run's chunk (``simulate_langevin``'s path
+included) is ``standard_normal((m, d))``, the stream these simulators
+drew when they stepped one step per loop pass; ``_langevin_block`` steps
+it, and steps past a run's passage are discarded.  For SGD with
+replacement, run i's chunk is ``integers(0, n, size=(m, B))``, which
+equals m per-step draws of ``integers(0, n, size=B)``; draws past the
+step at which a run stops are discarded, so run i's time depends on its
+own stream alone.  Without replacement, and with isotropic noise, each
+run draws per step.
 """
 
 import warnings
@@ -26,6 +30,7 @@ import numpy as np
 
 from . import tasks as tasklib
 from .errors import ContractError, NumericalError, SimulationError
+from .landscape import check_point
 from .rng import stream
 
 _NOISE_CHUNK = 1024  # steps of noise drawn per refill; fixed, part of the stream contract
@@ -157,6 +162,27 @@ def _warn_if_stiff(p, w0, params):
         )
 
 
+def _langevin_block(p, W, gens, params, k0):
+    """States (m, R, d) after steps k0 + 1 .. k0 + m <= k0 + _NOISE_CHUNK of the runs W (R, d).
+
+    Run r's noise is ``gens[r].standard_normal((m, d))``.  Nothing is checked per step: a
+    non-finite state steps on quietly, ``grad_many`` keeping it non-finite, for the caller
+    to find in the block.
+    """
+    m = min(_NOISE_CHUNK, params.max_steps - k0)
+    traj = np.zeros((m,) + W.shape)
+    if params.D > 0:
+        for r, g in enumerate(gens):
+            traj[:, r] = g.standard_normal((m, W.shape[1]))
+        traj *= np.sqrt(2.0 * params.D * params.dt)
+    with np.errstate(all="ignore"):
+        for k in range(m):
+            # step k's noise becomes its state; W - dt * g rounds as W + dt * (-g)
+            traj[k] += W - params.dt * p.grad_many(W)
+            W = traj[k]
+    return traj
+
+
 def simulate_langevin(p, w0, params):
     """Euler-Maruyama path of dw = -grad U dt + sqrt(2D) dB from w0.
 
@@ -164,27 +190,16 @@ def simulate_langevin(p, w0, params):
     plain gradient descent with step dt.  Non-finite states raise
     NumericalError naming the offending step.
     """
-    from .landscape import check_point
-
-    w = check_point(p, w0).copy()
-    _warn_if_stiff(p, w, params)
-    n, d = params.max_steps, p.dim
-    rng = stream(params.seed)
-    out = np.empty((n + 1, d))
-    out[0] = w
-    amp = np.sqrt(2.0 * params.D * params.dt)
-    done = 0
-    while done < n:
-        m = min(_NOISE_CHUNK, n - done)
-        noise = rng.standard_normal((m, d)) if params.D > 0 else np.zeros((m, d))
-        for j in range(m):
-            w = w + params.dt * (-p.grad(w)) + amp * noise[j]
-            # checked before the next grad call: the potential contracts
-            # reject non-finite points, and this error names the step
-            if not np.all(np.isfinite(w)):
-                raise NumericalError(f"non-finite state at step {done + j + 1} (of {n})")
-            out[done + j + 1] = w
-        done += m
+    n, gens = params.max_steps, [stream(params.seed)]
+    out = np.empty((n + 1, p.dim))
+    out[0] = check_point(p, w0)
+    _warn_if_stiff(p, out[0], params)
+    for k0 in range(0, n, _NOISE_CHUNK):
+        traj = _langevin_block(p, out[k0:k0 + 1], gens, params, k0)
+        bad = ~np.isfinite(traj).all(axis=(1, 2))
+        if bad.any():
+            raise NumericalError(f"non-finite state at step {k0 + int(bad.argmax()) + 1} (of {n})")
+        out[k0 + 1:k0 + 1 + traj.shape[0]] = traj[:, 0]
     return Path(np.arange(n + 1) * params.dt, out)
 
 
@@ -192,13 +207,11 @@ def first_passage(p, w0, target_center, radius, params, n_runs):
     """First-passage times into the ball |w - target| <= radius.
 
     Runs n_runs independent walkers (stream (seed, i) for run i), stepping
-    them in lockstep as one vectorized ensemble; trajectories are not
-    stored.  A start inside the ball gives time 0 for every run.  Runs
+    them in lockstep as one vectorized ensemble; only the current block of
+    states is kept.  A start inside the ball gives time 0 for every run.  Runs
     that never enter within max_steps are censored; if all runs censor,
     that is an error suggesting a longer budget or larger D.
     """
-    from .landscape import check_point
-
     w0 = check_point(p, w0)
     target = check_point(p, target_center)
     if not (np.isfinite(radius) and radius > 0):
@@ -211,31 +224,22 @@ def first_passage(p, w0, target_center, radius, params, n_runs):
     if float(np.sum((w0 - target) ** 2)) <= r2:
         return EscapeStats.from_times([0.0] * n_runs, n_runs)
 
-    d = p.dim
     gens = [stream(params.seed, i) for i in range(n_runs)]
-    pos = np.tile(w0, (n_runs, 1))
+    W, runs = np.tile(w0, (n_runs, 1)), np.arange(n_runs)
     passed_at = np.full(n_runs, -1, dtype=np.int64)
-    active = np.arange(n_runs)
-    amp = np.sqrt(2.0 * params.D * params.dt)
-    buf = np.empty((n_runs, _NOISE_CHUNK, d))
-    step = 0
-    while active.size and step < params.max_steps:
-        c = step % _NOISE_CHUNK
-        if c == 0:
-            m = min(_NOISE_CHUNK, params.max_steps - step)
-            for i in active:
-                buf[i, :m] = gens[i].standard_normal((m, d))
-        W = pos[active]
-        W = W + params.dt * (-p.grad_many(W)) + amp * buf[active, c]
-        pos[active] = W
-        step += 1
-        if not np.all(np.isfinite(W)):
-            raise NumericalError(f"non-finite ensemble state at step {step}")
-        dist2 = np.sum((W - target) ** 2, axis=1)
-        hit = dist2 <= r2
-        if np.any(hit):
-            passed_at[active[hit]] = step
-            active = active[~hit]
+    k0 = 0
+    while runs.size and k0 < params.max_steps:
+        traj = _langevin_block(p, W, [gens[i] for i in runs], params, k0)
+        with np.errstate(over="ignore"):
+            hit = np.sum((traj - target) ** 2, axis=2) <= r2  # (steps, runs)
+        first, passed = hit.argmax(axis=0), hit.any(axis=0)
+        last = np.where(passed, first, len(traj))  # later steps are discarded, finite or not
+        bad = (~np.isfinite(traj).all(2) & (np.arange(len(traj))[:, None] <= last)).any(1)
+        if bad.any():
+            raise NumericalError(f"non-finite ensemble state at step {k0 + int(bad.argmax()) + 1}")
+        passed_at[runs[passed]] = k0 + first[passed] + 1
+        W, runs = traj[-1][~passed], runs[~passed]
+        k0 += len(traj)
     times = passed_at[passed_at >= 0] * params.dt
     if times.size == 0:
         raise SimulationError(

@@ -99,13 +99,19 @@ def _plot(fname, rows, *columns):
     return fname, list(columns), [tuple(r[c] for c in columns) for r in rows]
 
 
-def _spearman(xs, ys):
-    if len(xs) < 3:
-        return None
-    from scipy import stats
+def _ranks(v):
+    """1-based ranks, ties given their average rank (scipy's rankdata)."""
+    s = np.sort(v)
+    return 0.5 * (np.searchsorted(s, v, "left") + np.searchsorted(s, v, "right") + 1)
 
-    rho = stats.spearmanr(xs, ys).statistic
-    return _finite_or_none(rho)
+
+def _spearman(xs, ys):
+    """scipy.stats.spearmanr's statistic; None for constant or NaN input."""
+    a = np.column_stack((xs, ys)).astype(float)
+    if len(a) < 3 or np.isnan(a).any() or (a == a[0]).all(axis=0).any():
+        return None
+    ranks = np.column_stack([_ranks(col) for col in a.T])
+    return _finite_or_none(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 # -- shared task construction --------------------------------------------------
@@ -163,11 +169,7 @@ def _kramers_cell(args):
         D=D, dt=params["dt"], max_steps=params["max_steps"], seed=_sub_seed(seed, _CELL, k)
     )
     st = diffusion.first_passage(
-        pot,
-        np.array(params["w0"]),
-        np.array(params["target"]),
-        params["radius"],
-        dp,
+        pot, np.array(params["w0"]), np.array(params["target"]), params["radius"], dp,
         params["n_runs"],
     )
     return {

@@ -62,8 +62,11 @@ class Potential(ABC):
         return np.array([self.value(w) for w in W])
 
     def grad_many(self, W):
+        # a non-finite row gives a NaN row, as in the vectorized overrides,
+        # for the Langevin stepper to report; the scalar grad rejects it
         W = self._check_many(W)
-        return np.stack([self.grad(w) for w in W])
+        nan = np.full(self.dim, np.nan)
+        return np.stack([self.grad(w) if np.isfinite(w).all() else nan for w in W])
 
     def laplacian(self, w):
         return float(np.trace(self.hessian(w)))

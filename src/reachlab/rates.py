@@ -100,7 +100,10 @@ def arrhenius_fit(points):
         raise ContractError("times must be positive")
     if np.std(xs) == 0:
         raise ContractError("x values are degenerate")
-    from scipy.stats import linregress
-
-    fit = linregress(xs, np.log(ts))
-    return RateFit(float(fit.slope), float(fit.intercept), float(fit.rvalue**2), pts)
+    # scipy.stats.linregress's formulas, operation for operation
+    ys = np.log(ts)
+    sxx, sxy, _, syy = np.cov(xs, ys, bias=1).flat
+    r = sxy / np.sqrt(sxx * syy) if sxx and syy else (np.nan if sxy == 0 else 0.0)
+    slope = sxy / sxx
+    r2 = min(max(r, -1.0), 1.0) ** 2
+    return RateFit(float(slope), float(np.mean(ys) - slope * np.mean(xs)), float(r2), pts)

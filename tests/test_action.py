@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachlab import action, landscape
 from reachlab.action import (
@@ -13,7 +15,7 @@ from reachlab.action import (
     om_action,
     transition_ratio,
 )
-from reachlab.diffusion import DiffusionParams, Path
+from reachlab.diffusion import _NOISE_CHUNK, DiffusionParams, Path
 from reachlab.errors import ContractError, SimulationError
 from reachlab.rng import stream
 
@@ -192,6 +194,66 @@ def test_transition_ratio_zero_reference_is_an_error():
     par = DiffusionParams(D=0.0, dt=0.01, max_steps=200, seed=0)
     with pytest.raises(SimulationError, match="reference"):
         transition_ratio(q, np.zeros(2), [np.array([5.0, 5.0])], 0.1, 2.0, par, 4)
+
+
+def _reference_ensemble(p, w0, params, n_runs, record_every=0, record_coord=0, burn_frac=0.0):
+    """``action._ensemble_states`` as a lockstep loop recording step by step."""
+    d, chunk = p.dim, _NOISE_CHUNK
+    gens = [stream(params.seed, i) for i in range(n_runs)]
+    pos = np.tile(np.asarray(w0, dtype=float), (n_runs, 1))
+    amp = np.sqrt(2.0 * params.D * params.dt)
+    burn = int(burn_frac * params.max_steps)
+    recs = []
+    buf = np.empty((n_runs, chunk, d))
+    for step in range(params.max_steps):
+        c = step % chunk
+        if c == 0:
+            m = min(chunk, params.max_steps - step)
+            for i in range(n_runs):
+                buf[i, :m] = gens[i].standard_normal((m, d))
+        pos = pos + params.dt * (-p.grad_many(pos)) + amp * buf[:, c]
+        if record_every and step >= burn and (step - burn) % record_every == 0:
+            recs.append(pos[:, record_coord].copy())
+    if not np.all(np.isfinite(pos)):
+        raise SimulationError("ensemble left the finite region; reduce dt or D")
+    return pos, np.concatenate(recs) if recs else np.empty(0)
+
+
+_CHANNEL = landscape.Channel2D(
+    landscape.DoubleWell1D(), landscape.Polynomial1D([2.5, 0.0, 4.0])
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_runs=st.integers(1, 10),
+    D=st.one_of(st.just(0.0), st.floats(0.02, 0.5)),
+    dt=st.floats(1e-3, 1e-2),
+    max_steps=st.integers(1, 2600),
+    record=st.tuples(st.integers(0, 7), st.integers(0, 1), st.floats(0.0, 0.9)),
+    seed=st.integers(0, 3),
+)
+def test_ensemble_states_match_the_per_step_loop(n_runs, D, dt, max_steps, record, seed):
+    par = DiffusionParams(D=D, dt=dt, max_steps=max_steps, seed=seed)
+    w0 = np.array([-1.0, 0.2])
+    pos, samples = action._ensemble_states(_CHANNEL, w0, par, n_runs, *record)
+    ref_pos, ref_samples = _reference_ensemble(_CHANNEL, w0, par, n_runs, *record)
+    assert np.array_equal(pos, ref_pos)
+    assert np.array_equal(samples, ref_samples)
+
+
+def test_ensemble_divergence_is_a_simulation_error():
+    # w -> -1.5 w per step overflows past the first refill
+    q = landscape.Quadratic([5.0, 1.0])
+    par = DiffusionParams(D=0.1, dt=0.5, max_steps=3000, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(SimulationError, match="finite"):
+            _reference_ensemble(q, np.ones(2), par, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError, match="finite"):
+            action._ensemble_states(q, np.ones(2), par, 3)
 
 
 # -- channel marginals ---------------------------------------------------------------

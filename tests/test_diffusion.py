@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachlab import diffusion, landscape, tasks
 from reachlab.diffusion import (
@@ -181,6 +183,211 @@ def test_escape_stats_all_censored_is_nan_not_zero():
     es = EscapeStats.from_times([], n_runs=4)
     assert es.n_censored == 4
     assert np.isnan(es.mean) and np.isnan(es.rate) and np.isnan(es.median)
+
+
+# -- the block stepper against the per-step loops it replaced --------------------------
+
+
+def _reference_langevin(p, w0, params):
+    """``simulate_langevin`` as one scalar ``grad`` call per step."""
+    w = np.asarray(w0, dtype=float).copy()
+    n, d = params.max_steps, p.dim
+    rng = stream(params.seed)
+    out = np.empty((n + 1, d))
+    out[0] = w
+    amp = np.sqrt(2.0 * params.D * params.dt)
+    done = 0
+    while done < n:
+        m = min(diffusion._NOISE_CHUNK, n - done)
+        noise = rng.standard_normal((m, d)) if params.D > 0 else np.zeros((m, d))
+        for j in range(m):
+            w = w + params.dt * (-p.grad(w)) + amp * noise[j]
+            if not np.all(np.isfinite(w)):
+                raise NumericalError(f"non-finite state at step {done + j + 1} (of {n})")
+            out[done + j + 1] = w
+        done += m
+    return out
+
+
+def _reference_passage(p, w0, target, radius, params, n_runs):
+    """``first_passage`` as a lockstep loop that gathers and tests every step.
+
+    Returns (sorted passage times, censored count); raises like the
+    simulator when every run censors or the ensemble turns non-finite.
+    """
+    w0, target = np.asarray(w0, dtype=float), np.asarray(target, dtype=float)
+    r2 = radius * radius
+    if float(np.sum((w0 - target) ** 2)) <= r2:
+        return [0.0] * n_runs, 0
+    d, chunk = p.dim, diffusion._NOISE_CHUNK
+    gens = [stream(params.seed, i) for i in range(n_runs)]
+    pos = np.tile(w0, (n_runs, 1))
+    passed_at = np.full(n_runs, -1, dtype=np.int64)
+    active = np.arange(n_runs)
+    amp = np.sqrt(2.0 * params.D * params.dt)
+    buf = np.empty((n_runs, chunk, d))
+    step = 0
+    while active.size and step < params.max_steps:
+        c = step % chunk
+        if c == 0:
+            m = min(chunk, params.max_steps - step)
+            for i in active:
+                buf[i, :m] = gens[i].standard_normal((m, d))
+        W = pos[active]
+        W = W + params.dt * (-p.grad_many(W)) + amp * buf[active, c]
+        pos[active] = W
+        step += 1
+        if not np.all(np.isfinite(W)):
+            raise NumericalError(f"non-finite ensemble state at step {step}")
+        hit = np.sum((W - target) ** 2, axis=1) <= r2
+        if np.any(hit):
+            passed_at[active[hit]] = step
+            active = active[~hit]
+    times = passed_at[passed_at >= 0] * params.dt
+    if times.size == 0:
+        raise SimulationError("all runs censored")
+    return sorted(times.tolist()), n_runs - times.size
+
+
+def _assert_passage_matches(p, w0, target, radius, params, n_runs):
+    """first_passage equals the reference sample for sample, errors included."""
+    try:
+        times, n_cens = _reference_passage(p, w0, target, radius, params, n_runs)
+    except (NumericalError, SimulationError) as exc:
+        with pytest.raises(type(exc)) as got:
+            first_passage(p, w0, target, radius, params, n_runs)
+        if isinstance(exc, NumericalError):
+            assert str(got.value) == str(exc)
+        return None
+    es = first_passage(p, w0, target, radius, params, n_runs)
+    assert np.array_equal(es.samples, np.array(times))
+    assert es.n_censored == n_cens
+    return es
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_runs=st.integers(1, 12),
+    D=st.one_of(st.just(0.0), st.floats(0.02, 0.6)),
+    dt=st.floats(1e-3, 2e-2),
+    target=st.floats(-1.6, 0.2),
+    radius=st.floats(0.02, 0.5),
+    max_steps=st.integers(1, 2600),
+    seed=st.integers(0, 3),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_first_passage_matches_the_per_step_loop(n_runs, D, dt, target, radius, max_steps, seed):
+    par = DiffusionParams(D=D, dt=dt, max_steps=max_steps, seed=seed)
+    _assert_passage_matches(
+        landscape.DoubleWell1D(), np.array([-1.0]), np.array([target]), radius, par, n_runs
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    D=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+    dt=st.floats(1e-3, 5e-2),
+    max_steps=st.integers(1, 2600),
+    seed=st.integers(0, 3),
+)
+def test_langevin_path_matches_the_per_step_loop(D, dt, max_steps, seed):
+    # Quadratic's grad and grad_many are the same product, so the batched
+    # stepper reproduces the scalar loop bit for bit
+    q = landscape.Quadratic([1.0, 3.0])
+    par = DiffusionParams(D=D, dt=dt, max_steps=max_steps, seed=seed)
+    w0 = np.array([0.5, -1.0])
+    assert np.array_equal(simulate_langevin(q, w0, par).points, _reference_langevin(q, w0, par))
+
+
+@pytest.mark.parametrize("step", [1, 1023, 1024, 1025, 2048, 2049])
+def test_passage_at_block_edges(step):
+    # D = 0 descends w_k = 0.999^k deterministically; a radius between
+    # w_step and w_{step-1} puts every run's passage exactly at ``step``
+    q = landscape.Quadratic([1.0])
+    par = DiffusionParams(D=0.0, dt=1e-3, max_steps=3000, seed=0)
+    w = _reference_langevin(q, np.array([1.0]), par)[:, 0]
+    es = _assert_passage_matches(q, np.array([1.0]), np.zeros(1), 0.5 * (w[step - 1] + w[step]), par, 3)
+    assert np.array_equal(es.samples, np.full(3, step * 1e-3))
+
+
+def test_passage_edge_cases_match_the_per_step_loop():
+    dw = landscape.DoubleWell1D()
+    noisy = DiffusionParams(D=0.3, dt=5e-3, max_steps=3000, seed=2)
+    # some runs pass in the first block, some in later ones, some censor
+    es = _assert_passage_matches(dw, np.array([-1.0]), np.array([1.0]), 0.1, noisy, 24)
+    assert es.n_censored > 0
+    assert es.samples.min() < 1024 * 5e-3 < es.samples.max()
+    # a start inside the ball
+    es = _assert_passage_matches(dw, np.array([-1.0]), np.array([-0.95]), 0.1, noisy, 4)
+    assert np.array_equal(es.samples, np.zeros(4))
+    # every run censored
+    short = DiffusionParams(D=0.05, dt=5e-3, max_steps=1500, seed=0)
+    assert _assert_passage_matches(dw, np.array([-1.0]), np.array([1.0]), 0.05, short, 5) is None
+    with pytest.raises(SimulationError, match="censored"):
+        first_passage(dw, np.array([-1.0]), np.array([1.0]), 0.05, short, 5)
+
+
+class _ScalarQuadratic(landscape.Potential):
+    """Quadratic([5.0]) with scalar methods only, so grad_many is the default loop."""
+
+    dim = 1
+
+    def value(self, w):
+        return float(2.5 * landscape.check_point(self, w)[0] ** 2)
+
+    def grad(self, w):
+        return 5.0 * landscape.check_point(self, w)
+
+    def hessian(self, w):
+        landscape.check_point(self, w)
+        return np.array([[5.0]])
+
+
+@pytest.mark.parametrize(
+    "q", [landscape.Quadratic([5.0]), _ScalarQuadratic()], ids=["vectorized", "scalar-only"]
+)
+@pytest.mark.parametrize("dt", [3.0, 0.5])
+def test_divergence_names_the_reference_step(q, dt):
+    # w -> (1 - 5 dt) w grows 14x (overflow inside the first block) or
+    # 1.5x (overflow past the first refill) per step
+    par = DiffusionParams(D=0.1, dt=dt, max_steps=3000, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NumericalError) as ref:
+            _reference_langevin(q, np.array([1.0]), par)
+        with pytest.raises(NumericalError) as got:
+            simulate_langevin(q, np.array([1.0]), par)
+        assert str(got.value) == str(ref.value)
+        with pytest.raises(NumericalError) as ref:
+            _reference_passage(q, np.array([1.0]), np.array([1e9]), 0.1, par, 4)
+        with pytest.raises(NumericalError) as got:
+            first_passage(q, np.array([1.0]), np.array([1e9]), 0.1, par, 4)
+        assert str(got.value) == str(ref.value)
+    assert (int(str(got.value).split()[-1]) > diffusion._NOISE_CHUNK) == (dt == 0.5)
+
+
+def test_steps_past_a_passage_may_diverge_quietly():
+    # w_k = (-14)^k enters the ball around 196 at step 2 and overflows
+    # later in the same block; those steps are never part of the answer
+    q = landscape.Quadratic([5.0])
+    par = DiffusionParams(D=0.0, dt=3.0, max_steps=2000, seed=0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        es = first_passage(q, np.array([1.0]), np.array([196.0]), 1.0, par, 3)
+    assert np.array_equal(es.samples, np.full(3, 6.0))
+    assert [str(w.message) for w in caught if "unstable" not in str(w.message)] == []
+
+
+def test_finite_ensembles_raise_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        first_passage(
+            landscape.DoubleWell1D(), np.array([-1.0]), np.array([1.0]), 0.1,
+            DiffusionParams(D=0.3, dt=5e-3, max_steps=3000, seed=0), 16,
+        )
+        simulate_langevin(
+            landscape.Quadratic([1.0]), np.zeros(1), DiffusionParams(D=0.3, dt=1e-2, max_steps=3000)
+        )
 
 
 # -- SGD -----------------------------------------------------------------------------

@@ -5,9 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reachlab
 from reachlab.errors import ConfigError, SchemaError
@@ -558,6 +561,51 @@ def test_cli_import_defers_scipy_optimize_and_stats():
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_summary_kinds_run_without_scipy_stats(tmp_path):
+    # the Arrhenius fit and the rank correlation are numpy code now
+    src = os.path.dirname(os.path.dirname(reachlab.__file__))
+    runs = []
+    for kind, raw in (("kramers-sweep", KRAMERS_RAW), ("label-sweep", LABEL_RAW)):
+        cfg = _write_json(tmp_path / f"{kind}.json", raw)
+        runs.append(f"main([{kind!r}, '--config', {cfg!r}, '--out', {str(tmp_path / kind)!r}])")
+    code = (
+        "import sys; from reachlab.harness.cli import main; "
+        f"assert [{', '.join(runs)}] == [0, 0]; "
+        "print('scipy.stats' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    assert out.strip().splitlines()[-1] == "False"
+    assert json.loads((tmp_path / "kramers-sweep" / "bundle.json").read_text())["summary"]
+
+
+_RANKED = st.one_of(st.floats(-1e6, 1e6), st.integers(0, 3).map(float))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_RANKED, _RANKED), min_size=3, max_size=12))
+def test_spearman_reproduces_scipy(pairs):
+    from scipy import stats
+
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # scipy warns on constant input
+        rho = float(stats.spearmanr(xs, ys).statistic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = experiments._spearman(xs, ys)
+    assert got == (rho if np.isfinite(rho) else None)
+
+
+def test_spearman_degenerate_inputs_give_none():
+    assert experiments._spearman([1.0, 2.0], [2.0, 1.0]) is None
+    assert experiments._spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
+    assert experiments._spearman([1.0, 2.0, 3.0], [1.0, float("nan"), 3.0]) is None
+    assert experiments._spearman([1.0, 2.0, 2.0, 3.0], [4.0, 3.0, 3.0, 1.0]) == -1.0
 
 
 def test_cli_success_exit_zero(tmp_path, capsys):

@@ -139,6 +139,17 @@ def test_batched_derivatives_reject_nonfinite_rows(pot, bad):
         pot.grad_laplacian_many(W)
 
 
+@pytest.mark.parametrize("pot", ALL_POTS, ids=lambda p: type(p).__name__)
+def test_grad_many_keeps_nonfinite_rows_nonfinite(pot):
+    # the Langevin stepper steps a diverged run on and reports it afterwards
+    W = np.zeros((3, pot.dim))
+    W[1, -1] = np.inf
+    with np.errstate(all="ignore"):
+        G = pot.grad_many(W)
+    assert not np.isfinite(G[1]).all()
+    assert np.array_equal(G[[0, 2]], pot.grad_many(W[[0, 2]]))
+
+
 _BUILTIN_CONFIGS = {
     "quadratic": {"name": "quadratic", "a": [1.0, 2.0, 0.5]},
     "double_well_1d": {"name": "double_well_1d", "scale": 2.5},

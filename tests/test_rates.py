@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reachlab import landscape, rates
 from reachlab.errors import ContractError
@@ -83,3 +85,27 @@ def test_arrhenius_fit_contracts():
         rates.arrhenius_fit([(1.0, 2.0), (2.0, 0.0), (3.0, 1.0)])
     with pytest.raises(ContractError):
         rates.arrhenius_fit([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
+
+
+_SMALL_INT = st.integers(-3, 3).map(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(1e-3, 1e3)), min_size=3, max_size=12),
+        # ties in x and exactly equal times
+        st.lists(st.tuples(_SMALL_INT, _SMALL_INT.map(np.exp)), min_size=3, max_size=12),
+    )
+)
+def test_arrhenius_fit_reproduces_scipy_linregress(points):
+    from scipy.stats import linregress
+
+    xs = np.array([x for x, _ in points])
+    if np.std(xs) == 0:
+        return
+    ref = linregress(xs, np.log([t for _, t in points]))
+    fit = rates.arrhenius_fit(points)
+    assert fit.slope == float(ref.slope)
+    assert fit.intercept == float(ref.intercept)
+    assert np.array_equal(fit.r2, float(ref.rvalue**2), equal_nan=True)
