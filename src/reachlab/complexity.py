@@ -202,32 +202,58 @@ def initial_point(model, cfg):
     return cfg.init_scale * stream(cfg.seed).standard_normal(model.n_params)
 
 
-def _gd(W, loss_fn, grad_fn, cfg, name, ridge_curvature=0.0):
+def _posterior_l2(beta, lambda2):
+    """L2 coefficient of the posterior-mean penalty (beta / 2 lambda2) |w|^2.
+
+    Written as 2 (beta / (2 lambda2)), not beta / lambda2: the two can
+    differ in the last bit, and the descent is pinned to this rounding.
+    """
+    return 2.0 * (beta / (2.0 * lambda2))
+
+
+def _gd(W, data_fn, c, cfg, name, restarts=None):
     """Full-batch descent of every row of W (R, P), in lockstep.
 
-    ``grad_fn`` and ``loss_fn`` map a stack of rows to its gradients and
-    losses.  A row freezes once its gradient norm reaches grad_tol, so
-    each row follows exactly the path it would follow alone.  Returns
-    (W, whether every row converged, iterations per row, which rows
-    converged).  A diverging row aborts the whole descent; with R > 1
-    the error names the row as a restart.
+    Row r minimizes data(w) + (c[r] / 2) |w|^2, where ``data_fn`` maps a
+    stack of rows to the data term and its gradient, shapes (R,) and
+    (R, P), and ``c`` is one L2 coefficient per row (or one for all).
+    A row freezes once its gradient norm reaches grad_tol, so each row
+    follows exactly the path it would follow alone.  Returns (W, whether
+    every row converged, iterations per row, which rows converged).  A
+    diverging row aborts the whole descent; when the first ``restarts``
+    rows (default all) number more than one, the error names a diverging
+    one of them as a restart.
     """
-    # harmonic step cap: 1/step = 1/step_size + ridge_curvature, so a stiff
-    # quadratic penalty of known curvature can never destabilize the descent
-    step = 1.0 / (1.0 / cfg.step_size + ridge_curvature)
     W = np.array(W, dtype=float)
     R = W.shape[0]
+    restarts = R if restarts is None else restarts
+    c = np.broadcast_to(np.asarray(c, dtype=float), (R,)).copy()
+    # harmonic step cap: 1/step = 1/step_size + c, so a stiff quadratic
+    # penalty of known curvature can never destabilize the descent
+    step = 1.0 / (1.0 / cfg.step_size + c)
     iters = np.full(R, cfg.max_iters)
     converged = np.zeros(R, dtype=bool)
     rows = np.arange(R)
     Wa = W.copy()
 
     def diverged(msg, bad):
-        where = f" in restart {rows[bad][0]}" if R > 1 else ""
+        r = rows[bad][0]
+        where = f" in restart {r}" if restarts > 1 and r < restarts else ""
         return TrainingDivergedError(name, msg + where)
 
+    def check_loss(ce, it):
+        L = ce + 0.5 * c * tasks._sq_norms(Wa)
+        bad = ~np.isfinite(L) | (L > 1e6)
+        if bad.any():
+            raise diverged(f"loss {L[bad][0]:.3g} at iter {it}", bad)
+
     for it in range(1, cfg.max_iters + 1):
-        G = grad_fn(Wa)
+        ce, G = data_fn(Wa)
+        # every 50 steps the loss is checked where the step landed, which
+        # is where this call evaluated it
+        if it % 50 == 1 and it > 1:
+            check_loss(ce, it - 1)
+        G = G + c[:, None] * Wa
         bad = ~np.isfinite(G).all(axis=1)
         if bad.any():
             raise diverged(f"non-finite gradient at iter {it}", bad)
@@ -237,14 +263,13 @@ def _gd(W, loss_fn, grad_fn, cfg, name, ridge_curvature=0.0):
             converged[rows[done]] = True
             iters[rows[done]] = it
             Wa, G, rows = Wa[~done], G[~done], rows[~done]
+            c, step = c[~done], step[~done]
             if not rows.size:
                 break
-        Wa = Wa - step * G
-        if it % 50 == 0:
-            L = loss_fn(Wa)
-            bad = ~np.isfinite(L) | (L > 1e6)
-            if bad.any():
-                raise diverged(f"loss {L[bad][0]:.3g} at iter {it}", bad)
+        Wa = Wa - step[:, None] * G
+    else:  # no further call evaluates where the last step landed
+        if cfg.max_iters % 50 == 0:
+            check_loss(data_fn(Wa)[0], cfg.max_iters)
     W[rows] = Wa
     return W, bool(converged.all()), iters, converged
 
@@ -258,37 +283,35 @@ def train_posterior_mean(data, model, beta, lambda2, cfg, name="dataset"):
     mean updates.
     """
     task = tasks.Task(data, model)
-    lam = beta / (2.0 * lambda2)
     W, ok, iters, _ = _gd(
         initial_point(model, cfg)[None],
-        lambda W: tasks.batch_loss_grad_many(task, W)[0] + lam * tasks._sq_norms(W),
-        lambda W: tasks.batch_loss_grad_many(task, W)[1] + 2.0 * lam * W,
+        lambda W: tasks.batch_loss_grad_many(task, W),
+        _posterior_l2(beta, lambda2),
         cfg,
         name,
-        ridge_curvature=2.0 * lam,
     )
     return W[0], ok, int(iters[0])
 
 
-def train_minimizers(task, cfg, restarts, name="task"):
+def train_minimizers(task, cfg, restarts, name="task", posterior=None):
     """Minimize the task's own regularized loss from several starts at once.
 
     Restart r starts from the initial point of trainer seed cfg.seed + r;
     all descend in lockstep.  Returns (W (R, P), converged (R,),
     iterations (R,)); row r is bitwise the train_minimizer result for
-    that seed.
+    that seed.  With ``posterior`` = (beta, lambda2) the stack gains a
+    last row: the train_posterior_mean descent, bitwise, from restart
+    0's start.
     """
     W0 = np.stack(
         [initial_point(task.model, replace(cfg, seed=cfg.seed + r)) for r in range(restarts)]
     )
-    gamma = task.model.weight_decay
+    c = np.full(restarts, task.model.weight_decay)
+    if posterior is not None:
+        W0 = np.vstack([W0, W0[:1]])
+        c = np.append(c, _posterior_l2(*posterior))
     W, _, iters, converged = _gd(
-        W0,
-        lambda W: tasks.loss_many(task, W),
-        lambda W: tasks.batch_loss_grad_many(task, W)[1] + gamma * W,
-        cfg,
-        name,
-        ridge_curvature=gamma,
+        W0, lambda W: tasks.batch_loss_grad_many(task, W), c, cfg, name, restarts=restarts
     )
     return W, converged, iters
 

@@ -26,7 +26,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -82,6 +81,9 @@ def _sweep(fn, cells, workers):
     """
     pool = None
     if workers > 1 and len(cells) > 1:
+        # imported here: it pulls in multiprocessing, socket and logging
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=min(workers, len(cells)))
     records, flags = [], {}
     with pool or contextlib.nullcontext():
@@ -148,12 +150,16 @@ _FLOOR_RESTARTS = 4
 
 
 def _threshold_point(task, trainer, extra, name):
-    """Convergence threshold: estimated minimum loss plus a margin.
-
-    The restarts descend in lockstep; the lowest final loss wins, the
-    earliest restart on ties.
-    """
+    """Convergence threshold: estimated minimum loss plus a margin."""
     W, converged, _ = complexity.train_minimizers(task, trainer, _FLOOR_RESTARTS, name=name)
+    return _floor(task, W, converged, extra)
+
+
+def _floor(task, W, converged, extra):
+    """(threshold, minimum loss, converged, minimizer) from the restarts W.
+
+    The lowest final loss wins, the earliest restart on ties.
+    """
     losses = tasks.loss_many(task, W)
     r = int(np.argmin(losses))
     return float(losses[r] + extra), float(losses[r]), bool(converged[r]), W[r]
@@ -222,16 +228,20 @@ def _kramers_sweep(cfg, out_dir, workers):
 def _task_cell(params, seed, k, model, data, name):
     """Loss floor, posterior mean, C_beta and SGD convergence on one task.
 
-    The body shared by label-sweep and complexity-scatter cells.  Returns (record fields, escape stats, whether both descents converged).
+    The body shared by label-sweep and complexity-scatter cells.  Returns
+    (record fields, escape stats, whether both descents converged).
     """
     task = tasks.Task(data, model)
     trainer = build_trainer(params["trainer"], _sub_seed(seed, _TRAIN))
-    threshold, min_loss, descent_ok, _ = _threshold_point(
-        task, trainer, params["threshold_extra"], name
+    # the restarts and the posterior mean descend as one stack, the mean last
+    W, converged, _ = complexity.train_minimizers(
+        task, trainer, _FLOOR_RESTARTS, name=name,
+        posterior=(params["beta"], params["prior_scale2"]),
     )
-    w_mean, mean_ok, _ = complexity.train_posterior_mean(
-        data, model, params["beta"], params["prior_scale2"], trainer, name=name
+    threshold, min_loss, descent_ok, _ = _floor(
+        task, W[:-1], converged[:-1], params["threshold_extra"]
     )
+    w_mean, mean_ok = W[-1], converged[-1]
     rep = complexity.c_beta(task, w_mean, params["beta"], params["prior_scale2"])
     st = diffusion.convergence_time(
         task,

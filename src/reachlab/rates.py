@@ -98,7 +98,8 @@ def arrhenius_fit(points):
     ts = np.array([t for _, t in pts])
     if np.any(ts <= 0):
         raise ContractError("times must be positive")
-    if np.std(xs) == 0:
+    # equal x can give a nonzero np.std by rounding, and a tiny spread a zero one
+    if xs.max() == xs.min() or np.std(xs) == 0:
         raise ContractError("x values are degenerate")
     # scipy.stats.linregress's formulas, operation for operation
     ys = np.log(ts)

@@ -291,10 +291,14 @@ def _check_ws(model, W):
 
 
 def _act(name, z, slope):
-    """Activation and, when ``slope``, its derivative."""
+    """Activation and, when ``slope``, its derivative; tanh overwrites z."""
     if name == "tanh":
-        a = np.tanh(z)
-        return a, (1.0 - a * a if slope else None)
+        a = np.tanh(z, out=z)
+        if not slope:
+            return a, None
+        da = a * a
+        np.subtract(1.0, da, out=da)
+        return a, da
     # softplus; logaddexp keeps large |z| from overflowing
     from scipy.special import expit
 
@@ -358,7 +362,8 @@ def _dlogits_to_grad(model, X, G, cache):
         return (Gt @ X).reshape(R, -1) / n
     W2, A1, dA1 = cache
     gW2 = Gt @ A1 / n
-    Dhid = (G @ W2) * dA1
+    Dhid = G @ W2
+    Dhid *= dA1
     gW1 = Dhid.transpose(0, 2, 1) @ X / n
     return np.concatenate([gW1.reshape(R, -1), gW2.reshape(R, -1)], axis=1)
 

@@ -165,6 +165,40 @@ def test_opt_config_budget_is_respected():
     assert not cp.converged
 
 
+_GRAD_POTENTIALS = {
+    "quadratic": landscape.Quadratic([1.5, 0.5]),
+    "double_well": landscape.DoubleWell1D(),
+    "channel": landscape.Channel2D(landscape.DoubleWell1D(), landscape.Polynomial1D([2.5, 0.0, 4.0])),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(_GRAD_POTENTIALS)),
+    n_knots=st.integers(3, 8),
+    dt=st.floats(0.05, 0.5),
+    D=st.floats(0.05, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_action_gradient_matches_central_differences(name, n_knots, dt, D, seed):
+    # the analytic gradient L-BFGS descends on, against central differences
+    # of the discrete action in every interior-knot coordinate
+    p = _GRAD_POTENTIALS[name]
+    W = np.random.default_rng(seed).uniform(-1.5, 1.5, (n_knots, p.dim))
+    S, grad = action._action_and_grad(p, W, dt, D)
+    assert grad.shape == (n_knots - 2, p.dim)
+    h = 1e-6
+    fd = np.empty_like(grad)
+    for j in range(1, n_knots - 1):
+        for a in range(p.dim):
+            Wp, Wm = W.copy(), W.copy()
+            Wp[j, a] += h
+            Wm[j, a] -= h
+            fd[j - 1, a] = (action._action_and_grad(p, Wp, dt, D)[0]
+                            - action._action_and_grad(p, Wm, dt, D)[0]) / (2 * h)
+    assert np.allclose(grad, fd, rtol=1e-7, atol=1e-7 * (1.0 + abs(S)))
+
+
 # -- endpoint occupation ------------------------------------------------------------
 
 

@@ -243,12 +243,14 @@ def test_train_minimizer_reaches_interior_optimum():
     assert np.linalg.norm(tasks.grad_loss(t, w)) <= 1e-8
 
 
-def _reference_descent(task, cfg):
-    """One start's full-batch descent, one Python iteration at a time."""
+def _reference_descent(task, cfg, c=None):
+    """One start's full-batch descent of CE + (c/2)|w|^2, one Python
+    iteration at a time; c defaults to the model's weight decay."""
+    c = task.model.weight_decay if c is None else c
     w = complexity.initial_point(task.model, cfg)
-    step = 1.0 / (1.0 / cfg.step_size + task.model.weight_decay)
+    step = 1.0 / (1.0 / cfg.step_size + c)
     for it in range(1, cfg.max_iters + 1):
-        g = tasks.grad_loss(task, w)
+        g = tasks.batch_loss_grad(task, w)[1] + c * w
         if float(np.linalg.norm(g)) <= cfg.grad_tol:
             return w, True, it
         w = w - step * g
@@ -268,6 +270,30 @@ def test_lockstep_restarts_equal_separate_descents():
         assert np.array_equal(W[r], w) and conv[r] == ok and iters[r] == it
     w, ok, it = train_minimizer(t, dataclasses.replace(cfg, seed=10))
     assert np.array_equal(W[1], w) and ok and it == iters[1]
+    # a mixed stack: the same restarts plus a posterior-mean row (c = 2.0,
+    # which freezes first), each row bitwise its own descent
+    W, conv, iters = complexity.train_minimizers(t, cfg, 3, posterior=(2.0, 1.0))
+    assert W.shape == (4, t.model.n_params)
+    assert conv.tolist() == [True, True, False, True] and iters[3] < iters[:2].min()
+    for r in range(3):
+        w, ok, it = _reference_descent(t, dataclasses.replace(cfg, seed=9 + r))
+        assert np.array_equal(W[r], w) and conv[r] == ok and iters[r] == it
+    w, ok, it = _reference_descent(t, cfg, 2.0 * (2.0 / (2.0 * 1.0)))
+    assert np.array_equal(W[3], w) and ok and iters[3] == it
+    w, ok, it = train_posterior_mean(d, t.model, 2.0, 1.0, cfg)
+    assert np.array_equal(W[3], w) and ok and iters[3] == it
+    # _gd itself, with the coefficients in another order and one of them 0
+    c = np.array([0.0, 0.01, 2.0])
+    W0 = np.stack(
+        [complexity.initial_point(t.model, dataclasses.replace(cfg, seed=s)) for s in (9, 10, 9)]
+    )
+    Wg, all_ok, it_g, conv_g = complexity._gd(
+        W0, lambda V: tasks.batch_loss_grad_many(t, V), c, cfg, "mixed"
+    )
+    for r, (s, cr) in enumerate(zip((9, 10, 9), c)):
+        w, ok, it = _reference_descent(t, dataclasses.replace(cfg, seed=s), cr)
+        assert np.array_equal(Wg[r], w) and conv_g[r] == ok and it_g[r] == it
+    assert all_ok == conv_g.all()
 
 
 def test_batched_descent_names_the_diverging_restart():
@@ -277,7 +303,7 @@ def test_batched_descent_names_the_diverging_restart():
     W0 = np.array([[0.5], [0.3], [2.0]])
 
     def descend(W):
-        return complexity._gd(W, lambda V: (V**4).sum(axis=1) / 4, lambda V: V**3, cfg, "quartic")
+        return complexity._gd(W, lambda V: ((V**4).sum(axis=1) / 4, V**3), 0.0, cfg, "quartic")
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
@@ -288,6 +314,41 @@ def test_batched_descent_names_the_diverging_restart():
     assert "restart" not in str(one.value)  # a single descent has no restarts to name
     W, all_ok, iters, conv = descend(W0[:2])
     assert all_ok and conv.all() and np.all(np.abs(W) < 0.11)
+
+
+def test_diverging_posterior_row_is_not_named_a_restart():
+    # a stack of restarts plus one extra row: only the restarts are numbered
+    cfg = TrainerConfig(step_size=1.0, max_iters=500, grad_tol=1e-3)
+    quartic = lambda V: ((V**4).sum(axis=1) / 4, V**3)  # noqa: E731
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(TrainingDivergedError) as exc:
+            complexity._gd(np.array([[0.5], [0.3], [2.0]]), quartic, 0.0, cfg, "q", restarts=2)
+        assert "non-finite gradient" in str(exc.value) and "restart" not in str(exc.value)
+        with pytest.raises(TrainingDivergedError, match=r"in restart 1$"):
+            complexity._gd(np.array([[0.5], [2.0], [0.3]]), quartic, 0.0, cfg, "q", restarts=2)
+
+
+def test_loss_check_reads_the_next_gradient_call():
+    # a fake data term whose gradient stays -1 while its loss grows past
+    # 1e6 after 66 steps: only the every-50-iterations loss check can stop
+    # it, at the iteration the step landed on and without a call of its own
+    calls = []
+
+    def runaway(V):
+        calls.append(len(V))
+        return 1.5e4 * V.sum(axis=1), -np.ones_like(V)
+
+    for max_iters, where, n_calls in ((150, 100, 101), (100, 100, 101), (99, None, 99)):
+        calls.clear()
+        cfg = TrainerConfig(step_size=1.0, max_iters=max_iters, grad_tol=1e-3)
+        if where is None:
+            _, ok, iters, _ = complexity._gd(np.zeros((2, 1)), runaway, 0.0, cfg, "lin")
+            assert not ok and iters.tolist() == [99, 99]
+        else:
+            with pytest.raises(TrainingDivergedError, match=rf"loss 1.5e\+06 at iter {where} in restart 0$"):
+                complexity._gd(np.zeros((2, 1)), runaway, 0.0, cfg, "lin")
+        assert len(calls) == n_calls
 
 
 def test_initial_point_contracts():

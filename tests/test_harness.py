@@ -13,11 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reachlab
+from reachlab import complexity, diffusion, tasks
 from reachlab.errors import ConfigError, SchemaError
 from reachlab.harness import experiments
 from reachlab.harness.bundle import ResultBundle
 from reachlab.harness.cli import main as cli_main
-from reachlab.harness.config import KINDS, parse_config
+from reachlab.harness.config import KINDS, build_trainer, parse_config
 from reachlab.harness.io import (
     CSV_SCHEMAS,
     canonical_json,
@@ -549,12 +550,17 @@ def _write_json(path, obj):
 
 
 def test_cli_import_defers_scipy_optimize_and_stats():
-    # only action-check descends and only the summaries fit or rank, so the
-    # CLI must not pay for these imports before it knows the kind
+    # only action-check descends, only the summaries fit or rank and only
+    # --workers > 1 starts a process pool, so the CLI must not pay for these
+    # imports before it knows the kind and the worker count
     src = os.path.dirname(os.path.dirname(reachlab.__file__))
+    deferred = (
+        "scipy.optimize", "scipy.stats", "concurrent.futures.process", "multiprocessing",
+        "socket", "logging",
+    )
     code = (
         "import sys, reachlab.harness.cli; "
-        "print(sorted(m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules))"
+        f"print(sorted(m for m in {deferred!r} if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
@@ -581,6 +587,65 @@ def test_summary_kinds_run_without_scipy_stats(tmp_path):
     ).stdout
     assert out.strip().splitlines()[-1] == "False"
     assert json.loads((tmp_path / "kramers-sweep" / "bundle.json").read_text())["summary"]
+
+
+def test_heap_pin_is_a_no_op_without_mallopt(tmp_path, monkeypatch):
+    import ctypes
+
+    from reachlab.harness import cli
+
+    if sys.platform.startswith("linux") and hasattr(ctypes.CDLL(None), "mallopt"):
+        assert cli._pin_heap()
+    monkeypatch.setattr(ctypes, "CDLL", lambda *a, **k: object())  # a libc without mallopt
+    assert cli._pin_heap() is False
+    cfgp = _write_json(tmp_path / "k.json", KRAMERS_RAW)
+    assert cli_main(["kramers-sweep", "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "bundle.json").exists()
+
+
+def _two_call_task_descents(params, seed, model, data, name):
+    """The task cell's descents as two separate calls, as before stacking:
+    (threshold, min_loss, c_beta, both converged)."""
+    task = tasks.Task(data, model)
+    trainer = build_trainer(params["trainer"], experiments._sub_seed(seed, experiments._TRAIN))
+    W, converged, _ = complexity.train_minimizers(task, trainer, 4, name=name)
+    losses = tasks.loss_many(task, W)
+    r = int(np.argmin(losses))
+    w_mean, mean_ok, _ = complexity.train_posterior_mean(
+        data, model, params["beta"], params["prior_scale2"], trainer, name=name
+    )
+    rep = complexity.c_beta(task, w_mean, params["beta"], params["prior_scale2"])
+    return float(losses[r] + params["threshold_extra"]), float(losses[r]), rep.total, bool(
+        converged[r] and mean_ok
+    )
+
+
+_MLP_LABEL_RAW = dict(
+    LABEL_RAW,
+    model={"family": "mlp-1-hidden", "input_dim": 2, "n_classes": 3, "hidden": 6, "weight_decay": 0.05},
+    trainer={"step_size": 0.3, "max_iters": 700, "grad_tol": 1e-3, "init_scale": 0.3},
+)  # restarts that stop early or run out of budget, and a best restart other than 0
+
+
+@pytest.mark.parametrize("raw", [LABEL_RAW, _MLP_LABEL_RAW], ids=["logistic", "mlp"])
+def test_task_cell_stack_equals_the_two_call_path(raw, monkeypatch):
+    # the SGD half of the cell is not under test: a stub stands in for it
+    stub = diffusion.EscapeStats.from_times([3.0], 1)
+    monkeypatch.setattr(experiments.diffusion, "convergence_time", lambda *a: stub)
+    cfg = parse_config("label-sweep", raw)
+    params, seed = cfg.params, cfg.seed
+    flags = set()
+    for k, rho in enumerate(params["corruption_grid"]):
+        model, base = experiments._base_dataset(params, seed)
+        if rho > 0:
+            data = tasks.corrupt_labels(base, rho, experiments._sub_seed(seed, experiments._CORRUPT))
+        else:
+            data = base
+        rec, _, ok = experiments._task_cell(params, seed, k, model, data, f"rho={rho:g}")
+        want = _two_call_task_descents(params, seed, model, data, f"rho={rho:g}")
+        assert (rec["threshold"], rec["min_loss"], rec["c_beta"], ok) == want
+        flags.add(ok)
+    assert flags == ({True} if raw is LABEL_RAW else {True, False})
 
 
 _RANKED = st.one_of(st.floats(-1e6, 1e6), st.integers(0, 3).map(float))

@@ -85,6 +85,9 @@ def test_arrhenius_fit_contracts():
         rates.arrhenius_fit([(1.0, 2.0), (2.0, 0.0), (3.0, 1.0)])
     with pytest.raises(ContractError):
         rates.arrhenius_fit([(1.0, 2.0), (1.0, 3.0), (1.0, 4.0)])
+    # equal x whose np.std rounds to 1e-13: no slope exists, not a tiny one
+    with pytest.raises(ContractError):
+        rates.arrhenius_fit([(683.4210613000348, t) for t in (1.0, 2.0, 3.0)])
 
 
 _SMALL_INT = st.integers(-3, 3).map(float)
@@ -102,7 +105,9 @@ def test_arrhenius_fit_reproduces_scipy_linregress(points):
     from scipy.stats import linregress
 
     xs = np.array([x for x, _ in points])
-    if np.std(xs) == 0:
+    if xs.max() == xs.min() or np.std(xs) == 0:
+        with pytest.raises(ContractError, match="degenerate"):
+            rates.arrhenius_fit(points)
         return
     ref = linregress(xs, np.log([t for _, t in points]))
     fit = rates.arrhenius_fit(points)
