@@ -18,6 +18,7 @@ discretized action over interior knots with its analytic gradient.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -137,6 +138,91 @@ def _flow_interpolant(p, start, end, T, n_knots, sign, substeps):
     return W + t * (end - W[-1])
 
 
+# scipy.optimize.minimize's L-BFGS-B defaults: history, line-search steps,
+# evaluation budget
+_LBFGS_M = 10
+_LBFGS_MAXLS = 20
+_LBFGS_MAXFUN = 15000
+_SETULB_SIGNATURE = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+
+
+@cache
+def _load_setulb():
+    """scipy's compiled L-BFGS-B step, loaded without ``scipy.optimize``.
+
+    The package ``__init__`` imports linprog, shgo, scipy.linalg and
+    scipy.sparse, which cost more than every descent of a run; only the
+    ``_lbfgsb`` extension is loaded, on first use.
+    """
+    import importlib.machinery
+    import importlib.util
+    import os
+
+    import scipy
+
+    name = "scipy.optimize._lbfgsb"
+    path = os.path.join(
+        os.path.dirname(scipy.__file__), "optimize",
+        "_lbfgsb" + importlib.machinery.EXTENSION_SUFFIXES[0],
+    )
+    loader = importlib.machinery.ExtensionFileLoader(name, path)
+    mod = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+    loader.exec_module(mod)
+    setulb = getattr(mod, "setulb", None)
+    # setulb is private; a call with the wrong arguments could crash
+    if not (callable(setulb) and (setulb.__doc__ or "").startswith(_SETULB_SIGNATURE)):
+        raise ImportError(
+            f"scipy {scipy.__version__}'s L-BFGS-B core is not "
+            f"{_SETULB_SIGNATURE}; reachlab needs scipy>=1.17"
+        )
+    return setulb
+
+
+def _lbfgs(fun, x0, fg0, maxiter, gtol, ftol):
+    """Unbounded L-BFGS-B: scipy.optimize.minimize's loop around ``setulb``.
+
+    ``fun(x) -> (f, grad)`` and ``fg0 = fun(x0)``.  The evaluation memo is
+    scipy's, so every iterate is bitwise what ``minimize(fun, x0,
+    jac=True, method="L-BFGS-B")`` takes.  Returns (x, success, iterations,
+    stop code), e.g. 504 when ``maxiter`` ran out.
+    """
+    setulb = _load_setulb()
+    n, m = x0.size, _LBFGS_M
+
+    def evaluate(fg):
+        f, g = fg
+        return (f if np.isscalar(f) else np.asarray(f).item()), np.atleast_1d(g)
+
+    x = np.array(x0, dtype=np.float64)
+    last, (fx, gx), nfev = x.copy(), evaluate(fg0), 1
+    f, g = np.array(0.0), np.zeros(n)
+    bound, nbd = np.zeros(n), np.zeros(n, np.int32)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, np.int32)
+    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    factr = ftol / np.finfo(float).eps
+    nit = 0
+    while True:
+        g = g.astype(np.float64)
+        setulb(m, x, bound, bound, nbd, f, g, factr, gtol, wa, iwa, task, lsave, isave,
+               dsave, _LBFGS_MAXLS, ln_task)
+        if task[0] == 3:  # f and g wanted at x
+            if not np.array_equal(x, last):
+                last = x.copy()
+                fx, gx = evaluate(fun(x.copy()))
+                nfev += 1
+            f, g = fx, gx
+        elif task[0] == 1:  # an iteration ended
+            nit += 1
+            if nit >= maxiter:
+                task[:] = 5, 504
+            elif nfev > _LBFGS_MAXFUN:
+                task[:] = 5, 502
+        else:
+            return x, bool(task[0] == 4), nit, int(task[1])
+
+
 def minimum_action_path(p, w0, wf, T, n_knots, D, opt=None):
     """Minimize the discretized action over paths from w0 to wf in time T.
 
@@ -146,8 +232,6 @@ def minimum_action_path(p, w0, wf, T, n_knots, D, opt=None):
     lowest-action one returned.  Descent uses L-BFGS on the interior
     knots with the analytic action gradient.
     """
-    from scipy.optimize import minimize
-
     w0 = check_point(p, w0)
     wf = check_point(p, wf)
     if not (np.isfinite(T) and T > 0) or n_knots < 3:
@@ -182,21 +266,16 @@ def minimum_action_path(p, w0, wf, T, n_knots, D, opt=None):
     found = []
     for W_init in starts:
         x0 = pack(W_init)
-        gn_init = float(np.linalg.norm(fun(x0)[1]))
-        res = minimize(
-            fun,
-            x0,
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": opt.maxiter, "gtol": opt.gtol, "ftol": 1e-16},
-        )
-        W = unpack(res.x)
+        fg0 = fun(x0)
+        gn_init = float(np.linalg.norm(fg0[1]))
+        x, success, _, _ = _lbfgs(fun, x0, fg0, opt.maxiter, opt.gtol, 1e-16)
+        W = unpack(x)
         S, g = _action_and_grad(p, W, dt, D)
         gn = float(np.linalg.norm(g))
         # converged = the solver stopped on its own terms and the gradient
         # actually collapsed; an absolute cutoff would misread small-D
         # problems, where the action and its gradients scale like 1/D
-        ok = bool(res.success) and gn <= 1e-4 * max(1.0, gn_init)
+        ok = success and gn <= 1e-4 * max(1.0, gn_init)
         found.append((S, gn, W, ok))
 
     scale = max(1.0, float(np.max(np.abs(np.stack([f[2] for f in found])))))

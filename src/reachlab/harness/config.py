@@ -160,7 +160,7 @@ def check_taskspec(n_classes, spec):
     if "label" not in spec or not isinstance(spec["label"], str) or not spec["label"]:
         raise ConfigError("task spec: needs a nonempty string 'label'")
     out = {"label": spec["label"], "keep_classes": None, "corruption": 0.0}
-    if "keep_classes" in spec:
+    if spec.get("keep_classes") is not None:  # null is the snapshot's "all classes"
         ks = spec["keep_classes"]
         if (
             not isinstance(ks, list)

@@ -165,6 +165,90 @@ def test_opt_config_budget_is_respected():
     assert not cp.converged
 
 
+def _interior_action(p, w0, wf, T, n_knots, D):
+    """minimum_action_path's objective over the interior knots, counting calls."""
+    dt = T / (n_knots - 1)
+    calls = [0]
+
+    def fun(x):
+        calls[0] += 1
+        W = np.vstack([w0, x.reshape(n_knots - 2, p.dim), wf])
+        S, g = action._action_and_grad(p, W, dt, D)
+        return S, g.ravel()
+
+    return fun, calls
+
+
+def _channel_starts():
+    # the channel-action workload's problem and its three descent starts
+    ch = landscape.Channel2D(landscape.DoubleWell1D(), landscape.Polynomial1D([2.5, 0.0, 4.0]))
+    w0, wf, T, n = np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 4.0, 33
+    starts = [
+        w0 + (wf - w0) * np.linspace(0.0, 1.0, n)[:, None],
+        action._flow_interpolant(ch, w0, wf, T, n, +1, 10),
+        action._flow_interpolant(ch, wf, w0, T, n, +1, 10)[::-1],
+    ]
+    return [(ch, w0, wf, T, n, 0.1, W[1:-1].ravel(), 1500) for W in starts]
+
+
+def _quadratic_case(maxiter):
+    k, w0, T, n = np.array([1.0, 2.0]), np.array([1.2, -0.8]), 1.5, 61
+    wf = w0 * np.exp(-k * T)
+    x0 = (w0 + (wf - w0) * np.linspace(0.0, 1.0, n)[:, None])[1:-1].ravel()
+    return (landscape.Quadratic(k), w0, wf, T, n, 1e-3, x0, maxiter)
+
+
+_LBFGS_CASES = {
+    "quadratic": _quadratic_case(1500),
+    "quadratic-maxiter-5": _quadratic_case(5),
+    **{f"channel-start-{i}": case for i, case in enumerate(_channel_starts())},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LBFGS_CASES))
+def test_lbfgs_driver_reproduces_scipy_minimize(name):
+    from scipy.optimize import minimize
+
+    p, w0, wf, T, n_knots, D, x0, maxiter = _LBFGS_CASES[name]
+    fun, calls = _interior_action(p, w0, wf, T, n_knots, D)
+    x, ok, nit, code = action._lbfgs(fun, x0, fun(x0), maxiter, 1e-12, 1e-16)
+    ours = calls[0]
+    fun, calls = _interior_action(p, w0, wf, T, n_knots, D)
+    res = minimize(
+        fun, x0, jac=True, method="L-BFGS-B",
+        options={"maxiter": maxiter, "gtol": 1e-12, "ftol": 1e-16},
+    )
+    assert x.tobytes() == res.x.tobytes()  # every iterate bitwise
+    assert (ok, nit) == (res.success, res.nit)
+    assert ours == calls[0] == res.nfev  # one call per distinct point, the start's included
+    if maxiter == 5:
+        assert (ok, nit, code, res.status) == (False, 5, 504, 1)
+    else:
+        assert ok
+
+
+def test_lbfgs_refuses_an_incompatible_scipy(monkeypatch):
+    import importlib.machinery
+
+    import scipy
+
+    def old_setulb(*args):
+        """x,f,g,... = setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,iprint,csave,lsave,isave,dsave,maxls)"""
+
+    exec_module = importlib.machinery.ExtensionFileLoader.exec_module
+
+    def exec_old(self, mod):
+        exec_module(self, mod)
+        mod.setulb = old_setulb
+
+    monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module", exec_old)
+    action._load_setulb.cache_clear()
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__}'s L-BFGS-B core"):
+        action._load_setulb()
+    monkeypatch.undo()
+    assert action._load_setulb().__doc__.startswith(action._SETULB_SIGNATURE)
+
+
 _GRAD_POTENTIALS = {
     "quadratic": landscape.Quadratic([1.5, 0.5]),
     "double_well": landscape.DoubleWell1D(),

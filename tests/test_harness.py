@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reachlab
-from reachlab import complexity, diffusion, tasks
+from reachlab import complexity, diffusion, landscape, tasks
 from reachlab.errors import ConfigError, SchemaError
 from reachlab.harness import experiments
 from reachlab.harness.bundle import ResultBundle
@@ -333,6 +333,114 @@ def test_snapshot_reparses_to_the_same_config():
     assert again == cfg
 
 
+def _num(lo, hi):
+    """A number in [lo, hi]; ints too, since float keys accept them."""
+    ints = st.integers(int(np.ceil(lo)), int(np.floor(hi))) if np.ceil(lo) <= hi else st.nothing()
+    return st.one_of(st.floats(lo, hi), ints)
+
+
+def _pos(hi=1e3):
+    return _num(1e-6, hi)
+
+
+def _maybe(strats):
+    """An object with any subset of the given optional keys."""
+    return st.fixed_dictionaries({}, optional=strats)
+
+
+_POTENTIALS = st.one_of(
+    st.fixed_dictionaries({"name": st.just("double_well_1d")}, optional={"scale": _pos()}),
+    st.fixed_dictionaries({"name": st.just("quadratic"), "a": st.lists(_num(0, 10), min_size=1, max_size=3)}),
+    st.fixed_dictionaries({
+        "name": st.just("channel_2d"),
+        "a": st.just({"name": "double_well_1d"}),
+        "b": st.just({"name": "polynomial_1d", "coeffs": [2.5, 0.0, 4.0]}),
+    }),
+)
+
+
+@st.composite
+def _model_and_data(draw):
+    model = {"family": draw(st.sampled_from(["multinomial-logistic", "mlp-1-hidden"])),
+             "input_dim": draw(st.integers(1, 4)), "n_classes": draw(st.integers(2, 4))}
+    if model["family"] == "mlp-1-hidden":
+        model["hidden"] = draw(st.integers(1, 8))
+        model.update(draw(_maybe({"activation": st.sampled_from(["tanh", "softplus"])})))
+    model.update(draw(_maybe({"weight_decay": _num(0, 1)})))
+    data = {"n_samples": draw(st.integers(1, 200)), "separation": draw(_pos(10))}
+    return model, data
+
+
+_TRAINER = _maybe({"step_size": _pos(), "max_iters": st.integers(1, 10**4),
+                   "grad_tol": _num(0, 1), "init_scale": _num(0, 1)})
+_SGD = st.fixed_dictionaries({"eta": _pos(), "batch_size": st.integers(1, 50),
+                              "max_steps": st.integers(1, 10**5)})
+_RUNS = {"n_runs": st.integers(1, 50), "threshold_extra": _pos()}
+
+
+def _grid(lo, hi, n):
+    return st.lists(_num(lo, hi), min_size=n, max_size=n + 3, unique_by=float)
+
+
+@st.composite
+def _tasks(draw, n_classes):
+    labels = draw(st.lists(st.text(min_size=1, max_size=5), min_size=2, max_size=4, unique=True))
+    classes = st.lists(st.integers(0, n_classes - 1), min_size=1, unique=True)
+    return [dict(label=lab, **draw(_maybe({"keep_classes": classes, "corruption": _num(0, 1)})))
+            for lab in labels]
+
+
+@st.composite
+def _raw_config(draw, kind):
+    """A random valid raw config of one kind."""
+    raw = {"seed": draw(st.integers(0, 2**32))}
+    if kind in ("kramers-sweep", "action-check"):
+        pot = draw(_POTENTIALS)
+        dim = landscape.from_config(pot).dim
+        point = st.lists(_num(-2, 2), min_size=dim, max_size=dim)
+        raw["potential"] = pot
+        if kind == "kramers-sweep":
+            raw.update(w0=draw(point), target=draw(point), d_grid=draw(_grid(1e-3, 1, 3)),
+                       dt=draw(_pos(1)), max_steps=draw(st.integers(1, 10**5)))
+            raw.update(draw(_maybe({"radius": _pos(1), "n_runs": st.integers(1, 500)})))
+        else:
+            raw.update(start=draw(point), end=draw(point), duration=draw(_pos(10)),
+                       n_knots=draw(st.integers(3, 200)), D=draw(_pos(1)))
+            raw.update(draw(_maybe({"optimize": st.booleans(), "maxiter": st.integers(1, 5000)})))
+        return raw
+    model, data = draw(_model_and_data())
+    raw.update(model=model, data=data)
+    raw.update(draw(_maybe({"trainer": _TRAINER})))
+    if kind == "structure-curve":
+        raw["beta_grid"] = sorted(draw(_grid(1e-4, 1e6, 2)), key=float, reverse=True)
+        raw["prior_scale2"] = draw(_pos())
+        raw.update(draw(_maybe({"corruption": _num(0, 1)})))
+    elif kind == "batch-sweep":
+        raw["batch_grid"] = draw(st.lists(st.integers(1, data["n_samples"]), min_size=3, max_size=5))
+        raw.update(eta=draw(_pos()), max_steps=draw(st.integers(1, 10**5)))
+        raw.update(draw(_maybe({"noise_draws": st.integers(2, 5000), **_RUNS})))
+    else:
+        raw.update(beta=draw(_pos()), prior_scale2=draw(_pos()), sgd=draw(_SGD))
+        raw.update(draw(_maybe(_RUNS)))
+        if kind == "label-sweep":
+            raw["corruption_grid"] = draw(_grid(0, 1, 3))
+        else:
+            raw["tasks"] = draw(_tasks(model["n_classes"]))
+    return raw
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_snapshot_round_trips_for_random_valid_configs(kind, data):
+    # a bundle stores the snapshot as JSON; rerun parses it back
+    cfg = parse_config(kind, data.draw(_raw_config(kind)))
+    snap = json.loads(json.dumps(cfg.snapshot()))
+    again = parse_config(kind, snap)
+    assert again.snapshot() == cfg.snapshot()
+    assert again == cfg
+
+
 # -- CSV schemas ----------------------------------------------------------------------
 
 
@@ -567,6 +675,25 @@ def test_cli_import_defers_scipy_optimize_and_stats():
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_action_check_runs_without_scipy_optimize(tmp_path):
+    # L-BFGS-B runs on scipy's compiled core alone; the scipy.optimize
+    # package would pull in scipy.linalg and scipy.sparse with it
+    src = os.path.dirname(os.path.dirname(reachlab.__file__))
+    cfg = _write_json(tmp_path / "action.json", ACTION_RAW)
+    heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
+    code = (
+        "import sys; from reachlab.harness.cli import main; "
+        f"assert main(['action-check', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0; "
+        f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    assert out.strip().splitlines()[-1] == "[]"
+    assert json.loads((tmp_path / "out" / "bundle.json").read_text())["records"]
 
 
 def test_summary_kinds_run_without_scipy_stats(tmp_path):
