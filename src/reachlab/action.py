@@ -24,7 +24,7 @@ import numpy as np
 
 from .diffusion import _NOISE_CHUNK, DiffusionParams, Path, _langevin_block
 from .errors import ContractError, SimulationError
-from .landscape import Channel2D, check_point, path_potential_many
+from .landscape import Channel2D, check_point
 from .rng import stream
 
 

@@ -24,7 +24,7 @@ run draws per step.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,7 +151,7 @@ class EscapeStats:
 def _warn_if_stiff(p, w0, params):
     try:
         lam = float(np.linalg.eigvalsh(p.hessian(w0)).max())
-    except Exception:
+    except np.linalg.LinAlgError:
         return
     if params.dt * max(lam, 0.0) >= 0.5:
         warnings.warn(

@@ -1,9 +1,12 @@
 """Scalar potentials over weight space, with exact first and second derivatives.
 
 Weight vectors are plain 1-D numpy arrays of length ``dim``; nothing is
-wrapped.  Every potential exposes ``value`` / ``grad`` / ``hessian`` plus
-batched variants (``*_many``) that ensemble simulations use to stay
-vectorized.  Three derived fields are computed from any potential:
+wrapped.  A potential is written once, in batched form: ``value_many``,
+``grad_many`` and ``hessian_many`` map a batch of shape (n, dim) row by
+row, and ensemble simulations and the action descent call them directly.
+The single-point ``value`` / ``grad`` / ``hessian`` / ``laplacian`` are
+their one-row case, so a point and row k of a batch holding it give the
+same bits.  Three derived fields are computed from any potential:
 
 * ``drift``                : descent drift -grad U, the deterministic part of
                              the overdamped dynamics dw = drift dt + sqrt(2D) dB
@@ -28,60 +31,33 @@ class Potential(ABC):
     """A twice-differentiable scalar field U(w) on R^dim.
 
     Evaluation is pure: no caching, no mutation, safe to call from worker
-    processes.  Subclasses must implement ``value``, ``grad`` and
-    ``hessian`` for a single point.  The batched ``value_many``,
-    ``grad_many``, ``laplacian_many`` and ``hessian_many`` defaults loop
-    over those; ``grad_laplacian_many`` is a central difference of the
-    trace of ``hessian_many``, two batched calls per coordinate.
-    Every built-in potential replaces the loops with vectorized forms
-    (``Channel2D`` keeps the finite-difference ``grad_laplacian_many``, over
-    its vectorized ``hessian_many``).  Their ``hessian_many`` and
-    ``grad_laplacian_many`` repeat the scalar arithmetic in the same order
-    and equal the per-point results bit for bit, which keeps the
-    minimum-action descent on the same iterates.
+    processes.  Subclasses implement the batched ``value_many``,
+    ``grad_many`` and ``hessian_many`` and nothing per point: those three
+    are the only formulas.  ``grad_many`` keeps a non-finite row
+    non-finite, for the Langevin stepper to report; ``hessian_many``
+    rejects one through ``_check_finite_many``.  ``laplacian_many``
+    defaults to the trace of ``hessian_many`` and ``grad_laplacian_many``
+    to a central difference of that trace; subclasses with cheaper forms
+    override them.  The single-point methods are the one-row case of the
+    batched ones and are not overridden.
     """
 
     dim: int
 
     @abstractmethod
-    def value(self, w):
-        """Potential at ``w``, a float."""
-
-    @abstractmethod
-    def grad(self, w):
-        """Gradient at ``w``, shape (dim,)."""
-
-    @abstractmethod
-    def hessian(self, w):
-        """Hessian at ``w``, shape (dim, dim), symmetric."""
-
-    # -- batched evaluation ------------------------------------------------
-
     def value_many(self, W):
-        W = self._check_many(W)
-        return np.array([self.value(w) for w in W])
+        """Potential at each row of ``W`` (n, dim), shape (n,)."""
 
+    @abstractmethod
     def grad_many(self, W):
-        # a non-finite row gives a NaN row, as in the vectorized overrides,
-        # for the Langevin stepper to report; the scalar grad rejects it
-        W = self._check_many(W)
-        nan = np.full(self.dim, np.nan)
-        return np.stack([self.grad(w) if np.isfinite(w).all() else nan for w in W])
+        """Gradient at each row, shape (n, dim)."""
 
-    def laplacian(self, w):
-        return float(np.trace(self.hessian(w)))
+    @abstractmethod
+    def hessian_many(self, W):
+        """Hessian at each row, shape (n, dim, dim), symmetric."""
 
     def laplacian_many(self, W):
-        W = self._check_many(W)
-        return np.array([self.laplacian(w) for w in W])
-
-    def grad_laplacian(self, w):
-        """Gradient of lap U, needed by critical-path equations.
-
-        Default is the one-row case of ``grad_laplacian_many``; subclasses
-        with cheap third derivatives override it.
-        """
-        return self.grad_laplacian_many(check_point(self, w)[None])[0]
+        return np.trace(self.hessian_many(W), axis1=1, axis2=2)
 
     def grad_laplacian_many(self, W):
         """Gradients of lap U at each row of ``W``, shape (n, dim).
@@ -100,9 +76,26 @@ class Potential(ABC):
             out[:, i] = (lp - lm) / (2 * h)
         return out
 
-    def hessian_many(self, W):
-        W = self._check_many(W)
-        return np.stack([self.hessian(w) for w in W])
+    # -- one point: the one-row case of the batched forms ------------------
+
+    def value(self, w):
+        """Potential at ``w``, a float."""
+        return float(self.value_many(check_point(self, w)[None])[0])
+
+    def grad(self, w):
+        """Gradient at ``w``, shape (dim,)."""
+        return self.grad_many(check_point(self, w)[None])[0]
+
+    def hessian(self, w):
+        """Hessian at ``w``, shape (dim, dim)."""
+        return self.hessian_many(check_point(self, w)[None])[0]
+
+    def laplacian(self, w):
+        return float(self.laplacian_many(check_point(self, w)[None])[0])
+
+    def grad_laplacian(self, w):
+        """Gradient of lap U at ``w``, needed by critical-path equations."""
+        return self.grad_laplacian_many(check_point(self, w)[None])[0]
 
     def _check_many(self, W):
         W = np.asarray(W, dtype=float)
@@ -146,18 +139,6 @@ class Quadratic(Potential):
         self.a = a
         self.dim = a.size
 
-    def value(self, w):
-        w = check_point(self, w)
-        return float(0.5 * np.sum(self.a * w * w))
-
-    def grad(self, w):
-        w = check_point(self, w)
-        return self.a * w
-
-    def hessian(self, w):
-        check_point(self, w)
-        return np.diag(self.a)
-
     def value_many(self, W):
         W = self._check_many(W)
         return 0.5 * np.sum(self.a * W * W, axis=1)
@@ -168,10 +149,6 @@ class Quadratic(Potential):
     def laplacian_many(self, W):
         W = self._check_many(W)
         return np.full(W.shape[0], float(np.sum(self.a)))
-
-    def grad_laplacian(self, w):
-        check_point(self, w)
-        return np.zeros(self.dim)
 
     def hessian_many(self, W):
         W = self._check_finite_many(W)
@@ -195,18 +172,6 @@ class DoubleWell1D(Potential):
             raise ContractError("DoubleWell1D scale must be positive and finite")
         self.scale = float(scale)
 
-    def value(self, w):
-        w = check_point(self, w)[0]
-        return float(self.scale * (w * w - 1.0) ** 2 / 4.0)
-
-    def grad(self, w):
-        w = check_point(self, w)[0]
-        return np.array([self.scale * (w ** 3 - w)])
-
-    def hessian(self, w):
-        w = check_point(self, w)[0]
-        return np.array([[self.scale * (3.0 * w * w - 1.0)]])
-
     def value_many(self, W):
         W = self._check_many(W)
         return self.scale * (W[:, 0] ** 2 - 1.0) ** 2 / 4.0
@@ -221,12 +186,9 @@ class DoubleWell1D(Potential):
 
     def hessian_many(self, W):
         w = self._check_finite_many(W)[:, 0]
-        # 3.0 * w * w rounds like the scalar hessian; 3.0 * w ** 2 does not
+        # 3.0 * w * w and laplacian_many's 3.0 * w ** 2 round apart, and the
+        # minimum-action descent's iterates depend on each as written
         return (self.scale * (3.0 * w * w - 1.0))[:, None, None]
-
-    def grad_laplacian(self, w):
-        w = check_point(self, w)[0]
-        return np.array([6.0 * self.scale * w])
 
     def grad_laplacian_many(self, W):
         W = self._check_finite_many(W)
@@ -251,22 +213,6 @@ class Polynomial1D(Potential):
         self._d2 = np.polynomial.polynomial.polyder(c, 2)
         self._d3 = np.polynomial.polynomial.polyder(c, 3)
 
-    def value(self, w):
-        w = check_point(self, w)[0]
-        return float(np.polynomial.polynomial.polyval(w, self.coeffs))
-
-    def grad(self, w):
-        w = check_point(self, w)[0]
-        return np.array([np.polynomial.polynomial.polyval(w, self._d1)])
-
-    def hessian(self, w):
-        w = check_point(self, w)[0]
-        return np.array([[np.polynomial.polynomial.polyval(w, self._d2)]])
-
-    def grad_laplacian(self, w):
-        w = check_point(self, w)[0]
-        return np.array([np.polynomial.polynomial.polyval(w, self._d3)])
-
     def value_many(self, W):
         W = self._check_many(W)
         return np.polynomial.polynomial.polyval(W[:, 0], self.coeffs)
@@ -274,10 +220,6 @@ class Polynomial1D(Potential):
     def grad_many(self, W):
         W = self._check_many(W)
         return np.polynomial.polynomial.polyval(W[:, 0], self._d1)[:, None]
-
-    def laplacian_many(self, W):
-        W = self._check_many(W)
-        return np.polynomial.polynomial.polyval(W[:, 0], self._d2)
 
     def hessian_many(self, W):
         W = self._check_finite_many(W)
@@ -320,34 +262,13 @@ class Channel2D(Potential):
                 f"b(u) must be positive on u_box; min {bu.min():.3g} at u={us[bu.argmin()]:.3g}"
             )
 
-    def _ab(self, u):
-        ua = np.array([u])
-        return (
-            self.a.value(ua), self.a.grad(ua)[0], self.a.hessian(ua)[0, 0],
-            self.b.value(ua), self.b.grad(ua)[0], self.b.hessian(ua)[0, 0],
-        )
-
-    def value(self, w):
-        u, v = check_point(self, w)
-        av, _, _, bv, _, _ = self._ab(u)
-        return float(av + 0.5 * bv * v * v)
-
-    def grad(self, w):
-        u, v = check_point(self, w)
-        _, a1, _, bv, b1, _ = self._ab(u)
-        return np.array([a1 + 0.5 * b1 * v * v, bv * v])
-
-    def hessian(self, w):
-        u, v = check_point(self, w)
-        _, _, a2, bv, b1, b2 = self._ab(u)
-        return np.array([[a2 + 0.5 * b2 * v * v, b1 * v], [b1 * v, bv]])
-
     def value_many(self, W):
         W = self._check_many(W)
         U1 = W[:, :1]
+        v = W[:, 1]
         av = self.a.value_many(U1)
         bv = self.b.value_many(U1)
-        return av + 0.5 * bv * W[:, 1] ** 2
+        return av + 0.5 * bv * v * v
 
     def grad_many(self, W):
         W = self._check_many(W)
@@ -368,9 +289,6 @@ class Channel2D(Potential):
         return a2 + 0.5 * b2 * v * v + bv
 
     def hessian_many(self, W):
-        """Row k is ``hessian(W[k])`` bit for bit, given profiles whose
-        batched value and grad equal their scalar forms (Polynomial1D's do;
-        DoubleWell1D's differ in the last bit, so only as ``a`` is it exact)."""
         W = self._check_finite_many(W)
         U1 = W[:, :1]
         v = W[:, 1]
@@ -387,7 +305,7 @@ class Channel2D(Potential):
 
 def drift(p, w):
     """Deterministic drift of the overdamped dynamics: -grad U(w)."""
-    return -p.grad(check_point(p, w))
+    return -p.grad(w)
 
 
 def path_potential(p, w, D):
@@ -397,14 +315,13 @@ def path_potential(p, w, D):
     flat minima cost less to linger in than sharp ones, by exactly the
     curvature term.
     """
-    if D < 0:
-        raise ContractError("D must be nonnegative")
-    w = check_point(p, w)
-    g = p.grad(w)
-    return float(0.5 * np.dot(g, g) - D * p.laplacian(w))
+    return float(path_potential_many(p, check_point(p, w)[None], D)[0])
 
 
 def path_potential_many(p, W, D):
+    """``path_potential`` at each row of ``W`` (n, dim), shape (n,)."""
+    if D < 0:
+        raise ContractError("D must be nonnegative")
     G = p.grad_many(W)
     return 0.5 * np.sum(G * G, axis=1) - D * p.laplacian_many(W)
 

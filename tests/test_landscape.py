@@ -32,9 +32,10 @@ def loop_hessian_many(p, W):
 
 
 def loop_grad_laplacian_many(p, W):
-    """Per-point reference: a scalar override, else the finite difference
-    of the scalar laplacian that the batched default replaced."""
-    if "grad_laplacian" in vars(type(p)):
+    """Per-point reference: the one-point ``grad_laplacian`` where the class
+    overrides ``grad_laplacian_many``, else the central difference of the
+    one-point Hessian trace that the batched default differentiates."""
+    if "grad_laplacian_many" in vars(type(p)):
         return np.stack([p.grad_laplacian(w) for w in W])
     h = 1e-5
     out = np.empty(W.shape)
@@ -42,26 +43,28 @@ def loop_grad_laplacian_many(p, W):
         for i in range(p.dim):
             e = np.zeros(p.dim)
             e[i] = h
-            out[k, i] = (p.laplacian(w + e) - p.laplacian(w - e)) / (2 * h)
+            out[k, i] = (np.trace(p.hessian(w + e)) - np.trace(p.hessian(w - e))) / (2 * h)
     return out
 
 
 class ScalarOnly(landscape.Potential):
-    """A user subclass with scalar methods only, so every batched form is a default."""
+    """A user subclass that writes no scalar method: only the three required
+    batched forms, so its one-point methods, ``laplacian_many`` and
+    ``grad_laplacian_many`` are the base's defaults."""
 
     dim = 2
 
-    def value(self, w):
-        u, v = landscape.check_point(self, w)
-        return float(u ** 4 / 4 + u * v * v + v ** 2)
+    def value_many(self, W):
+        u, v = self._check_many(W).T
+        return u ** 4 / 4 + u * v * v + v ** 2
 
-    def grad(self, w):
-        u, v = landscape.check_point(self, w)
-        return np.array([u ** 3 + v * v, 2.0 * u * v + 2.0 * v])
+    def grad_many(self, W):
+        u, v = self._check_many(W).T
+        return np.stack([u ** 3 + v * v, 2.0 * u * v + 2.0 * v], axis=1)
 
-    def hessian(self, w):
-        u, v = landscape.check_point(self, w)
-        return np.array([[3.0 * u * u, 2.0 * v], [2.0 * v, 2.0 * u + 2.0]])
+    def hessian_many(self, W):
+        u, v = self._check_finite_many(W).T
+        return np.array([[3.0 * u * u, 2.0 * v], [2.0 * v, 2.0 * u + 2.0]]).transpose(2, 0, 1)
 
 
 ALL_POTS = [
@@ -90,18 +93,18 @@ def test_derivatives_match_finite_differences(pot):
 @pytest.mark.parametrize("pot", ALL_POTS, ids=lambda p: type(p).__name__)
 def test_vectorized_forms_agree_pointwise(pot):
     rng = np.random.default_rng(3)
-    W = rng.uniform(-1.5, 1.5, (8, pot.dim))
+    W = rng.uniform(-1.5, 1.5, (200, pot.dim))
     vals = pot.value_many(W)
     grads = pot.grad_many(W)
     laps = pot.laplacian_many(W)
-    for k in range(8):
-        assert np.isclose(vals[k], pot.value(W[k]), atol=1e-12)
-        assert np.allclose(grads[k], pot.grad(W[k]), atol=1e-12)
-        assert np.isclose(laps[k], pot.laplacian(W[k]), atol=1e-12)
-    # the derivatives the action descent uses are bitwise the per-point loops
+    # a point and row k of a batch holding it give the same bits
+    for k in range(len(W)):
+        assert np.array_equal(vals[k], pot.value(W[k]))
+        assert np.array_equal(grads[k], pot.grad(W[k]))
+        assert np.array_equal(laps[k], pot.laplacian(W[k]))
     assert np.array_equal(pot.hessian_many(W), loop_hessian_many(pot, W))
     assert np.array_equal(pot.grad_laplacian_many(W), loop_grad_laplacian_many(pot, W))
-    for k in range(8):
+    for k in range(len(W)):
         assert np.array_equal(pot.grad_laplacian(W[k]), loop_grad_laplacian_many(pot, W[k:k + 1])[0])
 
 
@@ -246,7 +249,15 @@ def test_path_potential_many_matches_scalar():
     W = np.linspace(-2, 2, 9)[:, None]
     many = landscape.path_potential_many(pot, W, 0.2)
     for k, w in enumerate(W):
-        assert many[k] == pytest.approx(landscape.path_potential(pot, w, 0.2))
+        assert many[k] == landscape.path_potential(pot, w, 0.2)
+
+
+def test_path_potential_rejects_negative_noise():
+    pot = landscape.DoubleWell1D()
+    with pytest.raises(ContractError, match="nonnegative"):
+        landscape.path_potential_many(pot, np.zeros((3, 1)), -0.1)
+    with pytest.raises(ContractError, match="nonnegative"):
+        landscape.path_potential(pot, np.zeros(1), -0.1)
 
 
 def test_effective_potential_adds_logdet_of_positive_curvature():
