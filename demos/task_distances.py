@@ -4,8 +4,8 @@ import numpy as np
 
 from reachlab import complexity, tasks
 
-model = tasks.ModelSpec("multinomial-logistic", 2, 4)
-full = tasks.generate_blobs(4, 80, 2, 2.5, seed=3)
+model = tasks.ModelSpec("multinomial-logistic", 3, 4)
+full = tasks.generate_blobs(4, 80, 3, 2.5, seed=3)
 pair = tasks.subset_classes(full, [0, 1])  # same points, two classes kept
 trainer = complexity.TrainerConfig(step_size=0.3, max_iters=4000, grad_tol=1e-8)
 beta, lam2 = 0.02, 1.0

@@ -17,7 +17,7 @@ Critical paths satisfy d^2w/dt^2 = grad V and are found by descending the
 discretized action over interior knots with its analytic gradient.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
@@ -72,13 +72,6 @@ def om_action(p, path, D):
 
 
 @dataclass(frozen=True)
-class OptConfig:
-    maxiter: int = 1500
-    gtol: float = 1e-12
-    substeps: int = 10  # flow-interpolant integration substeps per knot
-
-
-@dataclass(frozen=True)
 class CriticalPath:
     path: Path
     action: ActionBreakdown
@@ -119,17 +112,20 @@ def _el_residual(p, W, dt, D):
     return res, scale
 
 
-def _flow_interpolant(p, start, end, T, n_knots, sign, substeps):
-    """Integrate w' = sign * (-grad U) from ``start``; shear to hit ``end``."""
+_FLOW_SUBSTEPS = 10  # flow-interpolant integration substeps per knot
+
+
+def _flow_interpolant(p, start, end, T, n_knots):
+    """Integrate w' = -grad U from ``start``; shear to hit ``end``."""
     d = p.dim
-    h = T / ((n_knots - 1) * substeps)
+    h = T / ((n_knots - 1) * _FLOW_SUBSTEPS)
     clamp = 10.0 * (np.linalg.norm(start) + np.linalg.norm(end) + 1.0)
     W = np.empty((n_knots, d))
     w = start.copy()
     W[0] = w
     for k in range(1, n_knots):
-        for _ in range(substeps):
-            w = w + h * sign * (-p.grad(w))
+        for _ in range(_FLOW_SUBSTEPS):
+            w = w + h * (-p.grad(w))
             nrm = np.linalg.norm(w)
             if nrm > clamp:
                 w = w * (clamp / nrm)
@@ -223,14 +219,15 @@ def _lbfgs(fun, x0, fg0, maxiter, gtol, ftol):
             return x, bool(task[0] == 4), nit, int(task[1])
 
 
-def minimum_action_path(p, w0, wf, T, n_knots, D, opt=None):
+def minimum_action_path(p, w0, wf, T, n_knots, D, maxiter=1500):
     """Minimize the discretized action over paths from w0 to wf in time T.
 
     Three starts are tried -- the straight line and gradient-flow
     interpolants run forward from w0 and backward from wf -- and every
     distinct local minimum found is kept (``alternates``), with the
     lowest-action one returned.  Descent uses L-BFGS on the interior
-    knots with the analytic action gradient.
+    knots with the analytic action gradient, at most ``maxiter``
+    iterations per start.
     """
     w0 = check_point(p, w0)
     wf = check_point(p, wf)
@@ -238,7 +235,6 @@ def minimum_action_path(p, w0, wf, T, n_knots, D, opt=None):
         raise ContractError("need T > 0 and n_knots >= 3")
     if not (np.isfinite(D) and D > 0):
         raise ContractError("D must be positive")
-    opt = opt or OptConfig()
     dt = T / (n_knots - 1)
     times = np.arange(n_knots) * dt
     d = p.dim
@@ -246,8 +242,8 @@ def minimum_action_path(p, w0, wf, T, n_knots, D, opt=None):
     lin = w0 + (wf - w0) * (times / T)[:, None]
     starts = [
         lin,
-        _flow_interpolant(p, w0, wf, T, n_knots, +1, opt.substeps),
-        _flow_interpolant(p, wf, w0, T, n_knots, +1, opt.substeps)[::-1].copy(),
+        _flow_interpolant(p, w0, wf, T, n_knots),
+        _flow_interpolant(p, wf, w0, T, n_knots)[::-1].copy(),
     ]
 
     def pack(W):
@@ -268,7 +264,7 @@ def minimum_action_path(p, w0, wf, T, n_knots, D, opt=None):
         x0 = pack(W_init)
         fg0 = fun(x0)
         gn_init = float(np.linalg.norm(fg0[1]))
-        x, success, _, _ = _lbfgs(fun, x0, fg0, opt.maxiter, opt.gtol, 1e-16)
+        x, success, _, _ = _lbfgs(fun, x0, fg0, maxiter, 1e-12, 1e-16)
         W = unpack(x)
         S, g = _action_and_grad(p, W, dt, D)
         gn = float(np.linalg.norm(g))
@@ -288,32 +284,15 @@ def minimum_action_path(p, w0, wf, T, n_knots, D, opt=None):
     for S, gn, W, ok in reps:
         path = Path(times, W)
         res_el, sc_el = _el_residual(p, W, dt, D)
-        out.append(
-            CriticalPath(
-                path=path,
-                action=om_action(p, path, D),
-                el_residual=res_el,
-                el_scale=sc_el,
-                converged=ok,
-                alternates=[],
-            )
-        )
-    best = out[0]
-    return CriticalPath(
-        path=best.path,
-        action=best.action,
-        el_residual=best.el_residual,
-        el_scale=best.el_scale,
-        converged=best.converged,
-        alternates=out[1:],
-    )
+        out.append(CriticalPath(path, om_action(p, path, D), res_el, sc_el, ok))
+    return replace(out[0], alternates=out[1:])
 
 
 # -- ensemble endpoint statistics ---------------------------------------------
 
 
-def _ensemble_states(p, w0, params, n_runs, record_every=0, record_coord=0, burn_frac=0.0):
-    """Step n_runs walkers in lockstep; optionally record one coordinate.
+def _ensemble_states(p, w0, params, n_runs, record_every=0, burn_frac=0.0):
+    """Step n_runs walkers in lockstep; optionally record coordinate 0.
 
     Returns (final positions, recorded samples).  Run i uses stream
     (seed, i); recording keeps every ``record_every``-th step after a
@@ -329,7 +308,7 @@ def _ensemble_states(p, w0, params, n_runs, record_every=0, record_coord=0, burn
         W = traj[-1]
         if record_every:
             k = np.arange(k0, k0 + len(traj)) - burn
-            recs.append(traj[(k >= 0) & (k % record_every == 0), :, record_coord].ravel())
+            recs.append(traj[(k >= 0) & (k % record_every == 0), :, 0].ravel())
     if not np.all(np.isfinite(W)):
         raise SimulationError("ensemble left the finite region; reduce dt or D")
     return W.copy(), np.concatenate(recs)
@@ -384,7 +363,10 @@ def _binned_density(fn, edges, sub=16):
     return mass / mass.sum()
 
 
-def channel_marginal_check(ch, u0, D, params, n_runs, bins, record_every=5):
+_MARGINAL_RECORD_EVERY = 5  # steps between pooled u-samples
+
+
+def channel_marginal_check(ch, u0, D, params, n_runs, bins):
     """Compare the sampled u-marginal of a channel with its predictions.
 
     The corrected prediction integrates out the transverse coordinate:
@@ -416,7 +398,7 @@ def channel_marginal_check(ch, u0, D, params, n_runs, bins, record_every=5):
     eff = DiffusionParams(D, params.dt, params.max_steps, params.seed)
     start = np.array([float(u0), 0.0])
     _, samples = _ensemble_states(
-        ch, start, eff, n_runs, record_every=record_every, burn_frac=0.5
+        ch, start, eff, n_runs, record_every=_MARGINAL_RECORD_EVERY, burn_frac=0.5
     )
     if samples.size < 100:
         raise SimulationError("too few equilibrium samples; increase max_steps")

@@ -419,13 +419,6 @@ class DistanceMatrix:
             "flags": dict(self.flags),
         }
 
-    def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("task," + ",".join(self.ids) + "\n")
-            for i, row in enumerate(self.values):
-                cells = ["" if not np.isfinite(v) else f"{v:.17g}" for v in row]
-                fh.write(self.ids[i] + "," + ",".join(cells) + "\n")
-
 
 def distance_matrix(datasets, model, beta, lambda2, trainer, ids=None):
     """All pairwise d_beta(D_i -> D_j); per-pair failures become flags.

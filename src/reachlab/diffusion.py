@@ -3,10 +3,9 @@
 The continuous dynamics dw = -grad U dt + sqrt(2D) dB are integrated with
 Euler-Maruyama at step dt, so one unit of diffusion time is 1/dt steps.
 SGD runs in its own clock: a step of size eta advances time by eta, which
-is the unit used for all convergence times.  Minibatches are drawn *with*
-replacement so that the one-step gradient noise covariance is exactly
-Sigma_1 / B (per-sample covariance over batch size); a without-replacement
-flag exists for realism but breaks that identity.
+is the unit used for all convergence times.  Minibatches are drawn with
+replacement, so the one-step gradient noise covariance is exactly
+Sigma_1 / B (per-sample covariance over batch size).
 
 Ensembles (first passage, convergence times) give run i the Philox stream
 (seed, i), so their statistics do not depend on execution order and are
@@ -15,12 +14,10 @@ one batched computation, and draw their randomness per run in chunks of
 _NOISE_CHUNK steps.  A Langevin run's chunk (``simulate_langevin``'s path
 included) is ``standard_normal((m, d))``, the stream these simulators
 drew when they stepped one step per loop pass; ``_langevin_block`` steps
-it, and steps past a run's passage are discarded.  For SGD with
-replacement, run i's chunk is ``integers(0, n, size=(m, B))``, which
-equals m per-step draws of ``integers(0, n, size=B)``; draws past the
-step at which a run stops are discarded, so run i's time depends on its
-own stream alone.  Without replacement, and with isotropic noise, each
-run draws per step.
+it, and steps past a run's passage are discarded.  For SGD, run i's
+chunk is ``integers(0, n, size=(m, B))``, which equals m per-step draws
+of ``integers(0, n, size=B)``; draws past the step at which a run stops
+are discarded, so run i's time depends on its own stream alone.
 """
 
 import warnings
@@ -87,21 +84,12 @@ class Path:
     def reversed(self):
         return Path(self.times.copy(), self.points[::-1].copy(), self.truncated)
 
-    def to_csv(self, path, thin=1):
-        """Write ``t,w0,...,w{d-1}`` rows, optionally keeping every thin-th."""
-        if thin < 1:
-            raise ContractError("thin must be >= 1")
-        idx = np.arange(0, self.times.size, thin)
+    def to_csv(self, path):
+        """Write ``t,w0,...,w{d-1}`` rows."""
         with open(path, "w") as fh:
             fh.write("t," + ",".join(f"w{i}" for i in range(self.dim)) + "\n")
-            for i in idx:
-                row = ",".join(f"{v:.17g}" for v in self.points[i])
-                fh.write(f"{self.times[i]:.17g},{row}\n")
-
-
-def path_from_csv(path):
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    return Path(raw[:, 0], raw[:, 1:])
+            for t, w in zip(self.times, self.points):
+                fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in w) + "\n")
 
 
 @dataclass(frozen=True)
@@ -257,17 +245,12 @@ class SGDConfig:
     eta: float
     batch_size: int
     max_steps: int
-    full_batch: bool = False
-    with_replacement: bool = True
-    noise: str = "minibatch"  # or "isotropic": Gaussian noise of matched trace
 
     def __post_init__(self):
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ContractError("eta must be positive")
         if self.batch_size < 1 or self.max_steps < 1:
             raise ContractError("batch_size and max_steps must be >= 1")
-        if self.noise not in ("minibatch", "isotropic"):
-            raise ContractError("noise must be 'minibatch' or 'isotropic'")
 
 
 def _sgd_stepper(task, cfg, gens):
@@ -275,51 +258,23 @@ def _sgd_stepper(task, cfg, gens):
 
     Returns step(W, runs, k) -> (batch CE per run, updated W): SGD step k
     (counted from 0) of the runs ``runs`` (indices into ``gens``), whose
-    weights are the rows of W.  Minibatches drawn with replacement are
-    taken per run in chunks of _NOISE_CHUNK steps, which reproduces the
-    per-step draws; the other modes draw per run and step.
+    weights are the rows of W.  Each run draws its minibatches in chunks
+    of _NOISE_CHUNK steps, which reproduces the per-step draws.
     """
-    n = task.data.n
+    n, B = task.data.n, cfg.batch_size
     gamma = task.model.weight_decay
-    B = cfg.batch_size
+    buf = np.empty((len(gens), _NOISE_CHUNK, B), dtype=np.int64)
 
-    def update(W, ce, G):
+    def step(W, runs, k):
+        c = k % _NOISE_CHUNK
+        if c == 0:
+            m = min(_NOISE_CHUNK, cfg.max_steps - k)
+            for i in runs:
+                buf[i, :m] = gens[i].integers(0, n, size=(m, B))
+        ce, G = tasklib.batch_loss_grad_many(task, W, buf[runs, c])
         return ce, W - cfg.eta * (G + gamma * W)
 
-    if cfg.full_batch:
-        return lambda W, runs, k: update(W, *tasklib.batch_loss_grad_many(task, W))
-    if B > n and not cfg.with_replacement:
-        raise ContractError("batch_size exceeds dataset size without replacement")
-
-    if cfg.noise == "isotropic":
-        d = task.model.n_params
-
-        def step(W, runs, k):
-            ce, G = tasklib.batch_loss_grad_many(task, W)
-            xi = np.empty_like(W)
-            for r, i in enumerate(runs):
-                gs = tasklib.per_sample_grads(task, W[r])
-                tr1 = float(np.mean(np.sum(gs * gs, axis=1)) - G[r] @ G[r])  # trace of Sigma_1
-                xi[r] = np.sqrt(max(tr1, 0.0) / (B * d)) * gens[i].standard_normal(d)
-            return ce, W - cfg.eta * (G + gamma * W + xi)
-
-        return step
-
-    if not cfg.with_replacement:
-        def draw(runs, k):
-            return np.stack([gens[i].choice(n, size=B, replace=False) for i in runs])
-    else:
-        buf = np.empty((len(gens), _NOISE_CHUNK, B), dtype=np.int64)
-
-        def draw(runs, k):
-            c = k % _NOISE_CHUNK
-            if c == 0:
-                m = min(_NOISE_CHUNK, cfg.max_steps - k)
-                for i in runs:
-                    buf[i, :m] = gens[i].integers(0, n, size=(m, B))
-            return buf[runs, c]
-
-    return lambda W, runs, k: update(W, *tasklib.batch_loss_grad_many(task, W, draw(runs, k)))
+    return step
 
 
 def simulate_sgd(task, w0, cfg, seed):
@@ -350,20 +305,18 @@ def simulate_sgd(task, w0, cfg, seed):
     return Path(times, W, truncated=truncated)
 
 
-def noise_covariance(task, w, batch_size, n_draws, seed, with_replacement=True):
+def noise_covariance(task, w, batch_size, n_draws, seed):
     """Empirical covariance of the minibatch CE gradient at fixed w.
 
     Draws n_draws independent minibatches, computes their mean-gradient
     rows, and returns the unbiased (ddof=1) sample covariance, shape
-    (d, d).  With replacement, its expectation is exactly Sigma_1 / B;
-    see ``exact_minibatch_covariance`` for that reference value.
+    (d, d).  Its expectation is exactly Sigma_1 / B; see
+    ``exact_minibatch_covariance`` for that reference value.
     """
     w = np.asarray(w, dtype=float)
     n = task.data.n
     if n_draws < 2:
         raise ContractError("n_draws must be >= 2")
-    if not with_replacement and batch_size > n:
-        raise ContractError("batch_size exceeds dataset size without replacement")
     gs = tasklib.per_sample_grads(task, w)  # (n, d)
     rng = stream(seed)
     rows = np.empty((n_draws, gs.shape[1]))
@@ -371,11 +324,7 @@ def noise_covariance(task, w, batch_size, n_draws, seed, with_replacement=True):
     done = 0
     while done < n_draws:
         m = min(chunk, n_draws - done)
-        if with_replacement:
-            idx = rng.integers(0, n, size=(m, batch_size))
-        else:
-            idx = np.stack([rng.choice(n, size=batch_size, replace=False) for _ in range(m)])
-        rows[done:done + m] = gs[idx].mean(axis=1)
+        rows[done:done + m] = gs[rng.integers(0, n, size=(m, batch_size))].mean(axis=1)
         done += m
     mu = rows.mean(axis=0)
     R = rows - mu

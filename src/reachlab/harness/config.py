@@ -273,6 +273,8 @@ def _cross_validate(kind, seed, p):
             raise ConfigError(f"w0/target must have the potential's dimension ({pot.dim})")
         if p["radius"] <= 0 or p["dt"] <= 0:
             raise ConfigError("radius and dt must be positive")
+        if sum((a - b) ** 2 for a, b in zip(p["w0"], p["target"])) <= p["radius"] ** 2:
+            raise ConfigError("w0 lies inside the target ball; every passage time would be 0")
         if any(d <= 0 for d in p["d_grid"]) or len(set(p["d_grid"])) < 3:
             raise ConfigError("d_grid needs >= 3 distinct positive values")
         if p["max_steps"] < 1 or p["n_runs"] < 1:

@@ -621,9 +621,7 @@ def _action_check(cfg, out_dir, workers):
     summary = {"straight_total": records[0]["total"]}
     plots = []
     if params["optimize"]:
-        crit = action.minimum_action_path(
-            pot, w0, wf, T, n_knots, D, opt=action.OptConfig(maxiter=params["maxiter"])
-        )
+        crit = action.minimum_action_path(pot, w0, wf, T, n_knots, D, params["maxiter"])
         records.append(_breakdown_record("optimized", crit.action))
         summary.update(
             optimized_total=records[1]["total"],

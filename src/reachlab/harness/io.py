@@ -167,9 +167,8 @@ def validate_path_csv(path):
     for ln, row in enumerate(rows[1:], start=2):
         if len(row) != d + 1:
             raise SchemaError(f"{path}:{ln}: expected {d + 1} cells")
-        for cell in row:
-            if not math.isfinite(float(cell)):
-                raise SchemaError(f"{path}:{ln}: non-finite value {cell!r}")
+        for cell, col in zip(row, rows[0]):
+            _check_cell(path, ln, col, "float", cell)
 
 
 def canonical_json(obj):

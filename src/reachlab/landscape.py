@@ -244,7 +244,7 @@ class Channel2D(Potential):
 
     dim = 2
 
-    def __init__(self, a, b, u_box=(-4.0, 4.0), n_check=201):
+    def __init__(self, a, b, u_box=(-4.0, 4.0)):
         if not isinstance(a, Potential) or a.dim != 1:
             raise ContractError("Channel2D profile a must be a 1-D potential")
         if not isinstance(b, Potential) or b.dim != 1:
@@ -255,7 +255,7 @@ class Channel2D(Potential):
         self.a = a
         self.b = b
         self.u_box = (lo, hi)
-        us = np.linspace(lo, hi, n_check)
+        us = np.linspace(lo, hi, 201)
         bu = b.value_many(us[:, None])
         if bu.min() <= 0:
             raise ContractError(
@@ -320,28 +320,28 @@ def path_potential(p, w, D):
 
 def path_potential_many(p, W, D):
     """``path_potential`` at each row of ``W`` (n, dim), shape (n,)."""
-    if D < 0:
-        raise ContractError("D must be nonnegative")
+    if not (np.isfinite(D) and D >= 0):
+        raise ContractError("D must be nonnegative and finite")
     G = p.grad_many(W)
     return 0.5 * np.sum(G * G, axis=1) - D * p.laplacian_many(W)
 
 
-def effective_potential(p, w, D, eig_floor=1e-6):
+def effective_potential(p, w, D):
     """Curvature-corrected potential U(w) + D * log det_+ hess U(w).
 
-    det_+ keeps eigenvalues above ``eig_floor * max(|lambda|_max, 1)``;
-    if none qualify (e.g. at a saddle of a 1-D double well) the log term
-    is zero and the bare potential is returned.
+    det_+ keeps eigenvalues above ``1e-6 * max(|lambda|_max, 1)``; if none
+    qualify (e.g. at a saddle of a 1-D double well) the log term is zero
+    and the bare potential is returned.
     """
-    if D < 0:
-        raise ContractError("D must be nonnegative")
+    if not (np.isfinite(D) and D >= 0):
+        raise ContractError("D must be nonnegative and finite")
     w = check_point(p, w)
     H = p.hessian(w)
     try:
         eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"hessian eigendecomposition failed at w={w}: {exc}") from exc
-    floor = eig_floor * max(np.max(np.abs(eigs)), 1.0)
+    floor = 1e-6 * max(np.max(np.abs(eigs)), 1.0)
     kept = eigs[eigs > floor]
     logdet = float(np.sum(np.log(kept))) if kept.size else 0.0
     return float(p.value(w) + D * logdet)

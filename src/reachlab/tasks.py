@@ -15,7 +15,6 @@ requires.  Losses are mean cross-entropy plus (weight_decay / 2) |w|^2;
 per-sample gradients omit the decay term.
 """
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,40 +190,6 @@ def from_provenance(prov):
     if kind == "empty":
         return empty(prov["input_dim"], prov["n_classes"])
     raise ContractError(f"unknown provenance kind {kind!r}")
-
-
-# -- serialization -----------------------------------------------------------
-
-
-def to_csv(d, csv_path, provenance_path=None):
-    """Write ``x0..x{p-1},y`` rows plus a JSON provenance sidecar."""
-    csv_path = str(csv_path)
-    if provenance_path is None:
-        provenance_path = csv_path + ".provenance.json"
-    header = ",".join([f"x{i}" for i in range(d.input_dim)] + ["y"])
-    with open(csv_path, "w") as fh:
-        fh.write(header + "\n")
-        for x, y in zip(d.inputs, d.labels):
-            fh.write(",".join(f"{v:.17g}" for v in x) + f",{y}\n")
-    with open(provenance_path, "w") as fh:
-        json.dump({"n_classes": d.n_classes, "provenance": d.provenance}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def from_csv(csv_path, provenance_path=None):
-    csv_path = str(csv_path)
-    if provenance_path is None:
-        provenance_path = csv_path + ".provenance.json"
-    with open(provenance_path) as fh:
-        side = json.load(fh)
-    raw = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
-    with open(csv_path) as fh:
-        ncol = len(fh.readline().strip().split(","))
-    if raw.size == 0:
-        raw = raw.reshape(0, ncol)
-    X = raw[:, :-1]
-    y = raw[:, -1].astype(np.int64)
-    return Dataset(X, y, side["n_classes"], side["provenance"])
 
 
 # -- model families ----------------------------------------------------------

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from reachlab import action, landscape
 from reachlab.action import (
-    OptConfig,
     channel_marginal_check,
     minimum_action_path,
     om_action,
@@ -161,7 +160,7 @@ def test_opt_config_budget_is_respected():
     pot = landscape.Quadratic([1.0, 2.0])
     w0 = np.array([1.2, -0.8])
     wf = w0 * np.exp(-np.array([1.0, 2.0]) * 1.5)
-    cp = minimum_action_path(pot, w0, wf, 1.5, 61, 1e-3, opt=OptConfig(maxiter=1))
+    cp = minimum_action_path(pot, w0, wf, 1.5, 61, 1e-3, maxiter=1)
     assert not cp.converged
 
 
@@ -185,8 +184,8 @@ def _channel_starts():
     w0, wf, T, n = np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 4.0, 33
     starts = [
         w0 + (wf - w0) * np.linspace(0.0, 1.0, n)[:, None],
-        action._flow_interpolant(ch, w0, wf, T, n, +1, 10),
-        action._flow_interpolant(ch, wf, w0, T, n, +1, 10)[::-1],
+        action._flow_interpolant(ch, w0, wf, T, n),
+        action._flow_interpolant(ch, wf, w0, T, n)[::-1],
     ]
     return [(ch, w0, wf, T, n, 0.1, W[1:-1].ravel(), 1500) for W in starts]
 
@@ -314,7 +313,7 @@ def test_transition_ratio_zero_reference_is_an_error():
         transition_ratio(q, np.zeros(2), [np.array([5.0, 5.0])], 0.1, 2.0, par, 4)
 
 
-def _reference_ensemble(p, w0, params, n_runs, record_every=0, record_coord=0, burn_frac=0.0):
+def _reference_ensemble(p, w0, params, n_runs, record_every=0, burn_frac=0.0):
     """``action._ensemble_states`` as a lockstep loop recording step by step."""
     d, chunk = p.dim, _NOISE_CHUNK
     gens = [stream(params.seed, i) for i in range(n_runs)]
@@ -331,7 +330,7 @@ def _reference_ensemble(p, w0, params, n_runs, record_every=0, record_coord=0, b
                 buf[i, :m] = gens[i].standard_normal((m, d))
         pos = pos + params.dt * (-p.grad_many(pos)) + amp * buf[:, c]
         if record_every and step >= burn and (step - burn) % record_every == 0:
-            recs.append(pos[:, record_coord].copy())
+            recs.append(pos[:, 0].copy())
     if not np.all(np.isfinite(pos)):
         raise SimulationError("ensemble left the finite region; reduce dt or D")
     return pos, np.concatenate(recs) if recs else np.empty(0)
@@ -348,7 +347,7 @@ _CHANNEL = landscape.Channel2D(
     D=st.one_of(st.just(0.0), st.floats(0.02, 0.5)),
     dt=st.floats(1e-3, 1e-2),
     max_steps=st.integers(1, 2600),
-    record=st.tuples(st.integers(0, 7), st.integers(0, 1), st.floats(0.0, 0.9)),
+    record=st.tuples(st.integers(0, 7), st.floats(0.0, 0.9)),
     seed=st.integers(0, 3),
 )
 def test_ensemble_states_match_the_per_step_loop(n_runs, D, dt, max_steps, record, seed):

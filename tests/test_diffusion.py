@@ -17,7 +17,6 @@ from reachlab.diffusion import (
     exact_minibatch_covariance,
     first_passage,
     noise_covariance,
-    path_from_csv,
     simulate_langevin,
     simulate_sgd,
 )
@@ -56,21 +55,6 @@ def test_path_reversal_keeps_grid_and_flips_points():
     r = p.reversed()
     assert np.array_equal(r.times, p.times)
     assert np.array_equal(r.points, p.points[::-1])
-
-
-def test_path_csv_round_trip(tmp_path):
-    t = np.arange(5) * 0.1
-    W = np.arange(10, dtype=float).reshape(5, 2) / 3.0
-    p = Path(t, W)
-    f = tmp_path / "p.csv"
-    p.to_csv(f)
-    q = path_from_csv(f)
-    assert np.array_equal(q.times, p.times)
-    assert np.array_equal(q.points, p.points)
-    p.to_csv(f, thin=2)
-    assert len(f.read_text().strip().split("\n")) == 1 + 3
-    with pytest.raises(ContractError):
-        p.to_csv(f, thin=0)
 
 
 def test_diffusion_params_contracts():
@@ -396,7 +380,7 @@ def separable():
 
 
 def test_sgd_config_contracts():
-    for kw in ({"eta": 0.0}, {"batch_size": 0}, {"max_steps": 0}, {"noise": "pink"}):
+    for kw in ({"eta": 0.0}, {"batch_size": 0}, {"max_steps": 0}):
         with pytest.raises(ContractError):
             SGDConfig(**{"eta": 0.1, "batch_size": 4, "max_steps": 10, **kw})
 
@@ -418,16 +402,6 @@ def test_sgd_deterministic_in_seed(separable):
     assert not np.array_equal(a.points, c.points)
 
 
-def test_sgd_full_batch_ignores_the_seed(separable):
-    cfg = SGDConfig(eta=0.1, batch_size=1, max_steps=100, full_batch=True)
-    a = simulate_sgd(separable, np.array([0.0]), cfg, seed=7)
-    b = simulate_sgd(separable, np.array([0.0]), cfg, seed=99)
-    assert np.array_equal(a.points, b.points)
-    L0 = tasks.loss(separable, a.points[0])
-    L1 = tasks.loss(separable, a.points[-1])
-    assert L1 < L0
-
-
 def test_sgd_divergence_truncates_instead_of_raising():
     d = tasks.generate_blobs(2, 40, 1, 6.0, seed=2)
     m = tasks.ModelSpec("mlp-1-hidden", 1, 2, hidden=6, activation="softplus")
@@ -436,19 +410,6 @@ def test_sgd_divergence_truncates_instead_of_raising():
     p = simulate_sgd(t, w0, SGDConfig(eta=1e6, batch_size=8, max_steps=500), seed=1)
     assert p.truncated
     assert p.times.size < 501
-
-
-def test_sgd_isotropic_noise_mode_runs(separable):
-    cfg = SGDConfig(eta=0.05, batch_size=8, max_steps=200, noise="isotropic")
-    p = simulate_sgd(separable, np.array([0.0]), cfg, seed=2)
-    assert p.points.shape == (201, 1)
-    assert not p.truncated
-
-
-def test_sgd_without_replacement_needs_room(separable):
-    cfg = SGDConfig(eta=0.05, batch_size=1000, max_steps=10, with_replacement=False)
-    with pytest.raises(ContractError):
-        simulate_sgd(separable, np.array([0.0]), cfg, seed=0)
 
 
 def test_sgd_rejects_wrong_start_shape(separable):
@@ -496,8 +457,6 @@ def test_noise_covariance_contracts(noisy_point):
     t, w = noisy_point
     with pytest.raises(ContractError):
         noise_covariance(t, w, 8, 1, seed=0)
-    with pytest.raises(ContractError):
-        noise_covariance(t, w, 1000, 10, seed=0, with_replacement=False)
 
 
 # -- convergence times ----------------------------------------------------------------
@@ -541,26 +500,14 @@ def _reference_convergence(task, w0, threshold, cfg, n_runs, seed):
     stream (seed, i) when its step comes.  A run whose weights turn
     non-finite gives 0, a run out of budget None; both are censored.
     """
-    n, d, B = task.data.n, task.model.n_params, cfg.batch_size
-    gamma = task.model.weight_decay
+    n, B, gamma = task.data.n, cfg.batch_size, task.model.weight_decay
     out = []
     for i in range(n_runs):
         rng = stream(seed, i)
         w, hit = np.array(w0, dtype=float), None
         for k in range(1, cfg.max_steps + 1):
-            if cfg.full_batch or cfg.noise == "isotropic":
-                _, g = tasks.batch_loss_grad(task, w)
-            elif cfg.with_replacement:
-                _, g = tasks.batch_loss_grad(task, w, rng.integers(0, n, size=B))
-            else:
-                _, g = tasks.batch_loss_grad(task, w, rng.choice(n, size=B, replace=False))
-            if cfg.noise == "isotropic" and not cfg.full_batch:
-                gs = tasks.per_sample_grads(task, w)
-                tr1 = float(np.mean(np.sum(gs * gs, axis=1)) - g @ g)
-                xi = np.sqrt(max(tr1, 0.0) / (B * d)) * rng.standard_normal(d)
-                w = w - cfg.eta * (g + gamma * w + xi)
-            else:
-                w = w - cfg.eta * (g + gamma * w)
+            _, g = tasks.batch_loss_grad(task, w, rng.integers(0, n, size=B))
+            w = w - cfg.eta * (g + gamma * w)
             if not np.all(np.isfinite(w)):
                 hit = 0
                 break
@@ -584,13 +531,8 @@ _SOFTPLUS = tasks.ModelSpec("mlp-1-hidden", 2, 3, weight_decay=0.01, hidden=6, a
         (_TANH, 0.6, SGDConfig(eta=0.05, batch_size=4, max_steps=400), 5),
         # five of eight runs overflow to non-finite weights and are censored
         (_SOFTPLUS, 0.95, SGDConfig(eta=4.0, batch_size=4, max_steps=1000), 8),
-        (_TANH, 0.6, SGDConfig(eta=0.05, batch_size=7, max_steps=400, with_replacement=False), 4),
-        (_LOGISTIC, 0.6, SGDConfig(eta=0.05, batch_size=4, max_steps=200, full_batch=True), 3),
-        (_LOGISTIC, 0.6, SGDConfig(eta=0.05, batch_size=4, max_steps=200, noise="isotropic"), 4),
-        (_TANH, 0.6, SGDConfig(eta=0.05, batch_size=4, max_steps=300, noise="isotropic"), 3),
     ],
-    ids=["logistic-refill", "tanh", "softplus-diverging", "without-replacement",
-         "full-batch", "isotropic-logistic", "isotropic-tanh"],
+    ids=["logistic-refill", "tanh", "softplus-diverging"],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_lockstep_convergence_matches_the_per_run_loop(model, threshold_frac, sgd, n_runs):
@@ -605,8 +547,7 @@ def test_lockstep_convergence_matches_the_per_run_loop(model, threshold_frac, sg
         assert min(hits) <= diffusion._NOISE_CHUNK < max(hits)
     if threshold_frac > 0.9:  # the diverging case
         assert ref.count(0) == 5
-    if not sgd.full_batch:
-        assert len(set(hits)) > 1  # runs stop at different steps
+    assert len(set(hits)) > 1  # runs stop at different steps
     # run i's time depends on i alone, not on how many runs share the ensemble
     for n in sorted({1, 2, n_runs}):
         head = [k for k in ref[:n] if k]

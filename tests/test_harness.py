@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reachlab
@@ -403,6 +403,9 @@ def _raw_config(draw, kind):
             raw.update(w0=draw(point), target=draw(point), d_grid=draw(_grid(1e-3, 1, 3)),
                        dt=draw(_pos(1)), max_steps=draw(st.integers(1, 10**5)))
             raw.update(draw(_maybe({"radius": _pos(1), "n_runs": st.integers(1, 500)})))
+            # a start inside the target ball is rejected
+            gap2 = sum((a - b) ** 2 for a, b in zip(raw["w0"], raw["target"]))
+            assume(gap2 > raw.get("radius", 0.1) ** 2)
         else:
             raw.update(start=draw(point), end=draw(point), duration=draw(_pos(10)),
                        n_knots=draw(st.integers(3, 200)), D=draw(_pos(1)))
@@ -500,6 +503,9 @@ def test_path_csv_validator(tmp_path):
         validate_path_csv(str(p))
     p.write_text("t,w0\n0,nan\n")
     with pytest.raises(SchemaError, match="finite"):
+        validate_path_csv(str(p))
+    p.write_text("t,w0\n0,abc\n")
+    with pytest.raises(SchemaError, match="column 'w0' must be a float"):
         validate_path_csv(str(p))
 
 
@@ -838,6 +844,15 @@ def test_cli_rejects_bad_configs_with_exit_two(tmp_path, capsys):
     ok = _write_json(tmp_path / "ok.json", dict(KRAMERS_RAW))
     assert cli_main(["kramers-sweep", "--config", ok, "--out", str(tmp_path), "--workers", "0"]) == 2
     assert capsys.readouterr().err  # every rejection explains itself on stderr
+
+
+def test_cli_rejects_a_start_inside_the_target(tmp_path, capsys):
+    # every passage time would be 0, and the Arrhenius fit takes log(mean time)
+    cfgp = _write_json(tmp_path / "cfg.json", dict(KRAMERS_RAW, w0=[1.0]))
+    out = tmp_path / "out"
+    assert cli_main(["kramers-sweep", "--config", cfgp, "--out", str(out)]) == 2
+    assert "inside the target" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_flags_censored_cells_but_still_succeeds(tmp_path, capsys):

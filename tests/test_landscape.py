@@ -254,10 +254,13 @@ def test_path_potential_many_matches_scalar():
 
 def test_path_potential_rejects_negative_noise():
     pot = landscape.DoubleWell1D()
-    with pytest.raises(ContractError, match="nonnegative"):
-        landscape.path_potential_many(pot, np.zeros((3, 1)), -0.1)
-    with pytest.raises(ContractError, match="nonnegative"):
-        landscape.path_potential(pot, np.zeros(1), -0.1)
+    for D in (-0.1, np.nan):
+        with pytest.raises(ContractError, match="nonnegative and finite"):
+            landscape.path_potential_many(pot, np.zeros((3, 1)), D)
+        with pytest.raises(ContractError, match="nonnegative and finite"):
+            landscape.path_potential(pot, np.zeros(1), D)
+        with pytest.raises(ContractError, match="nonnegative and finite"):
+            landscape.effective_potential(pot, np.ones(1), D)
 
 
 def test_effective_potential_adds_logdet_of_positive_curvature():

@@ -254,13 +254,3 @@ def test_run_batched_kernel_contracts():
     with pytest.raises(ContractError):
         tasks.batch_loss_grad_many(t, np.zeros((2, model.n_params)), np.zeros((3, 4), dtype=int))
 
-
-def test_csv_round_trip(tmp_path):
-    d = tasks.generate_blobs(3, 15, 2, 2.0, seed=7)
-    csv = tmp_path / "data.csv"
-    prov = tmp_path / "data.provenance.json"
-    tasks.to_csv(d, str(csv), str(prov))
-    back = tasks.from_csv(str(csv), str(prov))
-    assert np.array_equal(back.labels, d.labels)
-    assert np.allclose(back.inputs, d.inputs, atol=0, rtol=0)
-    assert back.n_classes == d.n_classes
