@@ -116,19 +116,33 @@ _FLOW_SUBSTEPS = 10  # flow-interpolant integration substeps per knot
 
 
 def _flow_interpolant(p, start, end, T, n_knots):
-    """Integrate w' = -grad U from ``start``; shear to hit ``end``."""
+    """Integrate w' = -grad U from ``start``; shear to hit ``end``.
+
+    A substep is a pure function of ``w``, so once one returns ``w``
+    byte for byte (a stationary start, or a flow that has settled) every
+    later knot is that ``w`` and integration stops.  Bytes, not
+    ``np.array_equal``: a step from -0.0 to 0.0 is a change.
+    """
     d = p.dim
     h = T / ((n_knots - 1) * _FLOW_SUBSTEPS)
     clamp = 10.0 * (np.linalg.norm(start) + np.linalg.norm(end) + 1.0)
     W = np.empty((n_knots, d))
     w = start.copy()
     W[0] = w
+    fixed = False
     for k in range(1, n_knots):
         for _ in range(_FLOW_SUBSTEPS):
-            w = w + h * (-p.grad(w))
-            nrm = np.linalg.norm(w)
+            nxt = w + h * (-p.grad(w))
+            nrm = np.linalg.norm(nxt)
             if nrm > clamp:
-                w = w * (clamp / nrm)
+                nxt = nxt * (clamp / nrm)
+            fixed = nxt.tobytes() == w.tobytes()
+            if fixed:
+                break
+            w = nxt
+        if fixed:
+            W[k:] = w
+            break
         W[k] = w
     t = np.linspace(0.0, 1.0, n_knots)[:, None]
     return W + t * (end - W[-1])
@@ -227,7 +241,8 @@ def minimum_action_path(p, w0, wf, T, n_knots, D, maxiter=1500):
     distinct local minimum found is kept (``alternates``), with the
     lowest-action one returned.  Descent uses L-BFGS on the interior
     knots with the analytic action gradient, at most ``maxiter``
-    iterations per start.
+    iterations per start.  Starts that are byte-identical (a flow from a
+    stationary endpoint is the straight line) are descended once.
     """
     w0 = check_point(p, w0)
     wf = check_point(p, wf)
@@ -235,6 +250,8 @@ def minimum_action_path(p, w0, wf, T, n_knots, D, maxiter=1500):
         raise ContractError("need T > 0 and n_knots >= 3")
     if not (np.isfinite(D) and D > 0):
         raise ContractError("D must be positive")
+    if maxiter < 1:
+        raise ContractError("maxiter must be >= 1")
     dt = T / (n_knots - 1)
     times = np.arange(n_knots) * dt
     d = p.dim
@@ -259,8 +276,7 @@ def minimum_action_path(p, w0, wf, T, n_knots, D, maxiter=1500):
         S, g = _action_and_grad(p, unpack(x), dt, D)
         return S, g.ravel()
 
-    found = []
-    for W_init in starts:
+    def descend(W_init):
         x0 = pack(W_init)
         fg0 = fun(x0)
         gn_init = float(np.linalg.norm(fg0[1]))
@@ -272,7 +288,17 @@ def minimum_action_path(p, w0, wf, T, n_knots, D, maxiter=1500):
         # actually collapsed; an absolute cutoff would misread small-D
         # problems, where the action and its gradients scale like 1/D
         ok = success and gn <= 1e-4 * max(1.0, gn_init)
-        found.append((S, gn, W, ok))
+        return S, gn, W, ok
+
+    # the descent is a pure function of its start: byte-identical starts
+    # share one, and ``found`` still holds one entry per start
+    descents = {}
+    found = []
+    for W_init in starts:
+        key = W_init.tobytes()
+        if key not in descents:
+            descents[key] = descend(W_init)
+        found.append(descents[key])
 
     scale = max(1.0, float(np.max(np.abs(np.stack([f[2] for f in found])))))
     reps = []

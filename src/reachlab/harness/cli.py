@@ -4,8 +4,9 @@
 
 Exit codes: 0 success, 2 config rejected by the schema, 3 experiment
 failure (whatever completed stays on disk, plus an aborted.json note).
-All configuration is explicit; no environment variables are read.
-Before any work, ``main`` pins two glibc heap thresholds (``_pin_heap``).
+All configuration is explicit; no environment variable configures a run.
+Before any work, ``main`` pins two glibc heap thresholds (``_pin_heap``)
+and, unless the caller set it, ``OPENBLAS_NUM_THREADS`` to 1.
 """
 
 import argparse
@@ -78,6 +79,11 @@ def _pin_heap():
 
 def main(argv=None):
     _pin_heap()
+    # scipy's OpenBLAS loads with the first L-BFGS-B descent, after this
+    # line, and reads the variable then.  Unpinned, its threads made the
+    # 62-variable descents of one action-check take 0.75 s instead of
+    # 0.002 s on a 2-core machine, in the first run after an idle pause.
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)
@@ -101,9 +107,10 @@ def main(argv=None):
         bundle = run_experiment(cfg, args.out, workers=args.workers)
     except _RUNTIME_ERRORS as exc:
         os.makedirs(args.out, exist_ok=True)
-        note = {"kind": cfg.kind, "config": cfg.snapshot(), "error": str(exc)}
+        # serialized first: a note that cannot be written leaves no empty file
+        note = canonical_json({"kind": cfg.kind, "config": cfg.snapshot(), "error": str(exc)})
         with open(os.path.join(args.out, "aborted.json"), "w") as fh:
-            fh.write(canonical_json(note))
+            fh.write(note)
         print(f"error: experiment failed: {exc}", file=sys.stderr)
         return 3
     n_flagged = len(bundle.flags)

@@ -7,6 +7,7 @@ defaults filled in, so a config snapshot embedded in a result bundle
 round-trips through this parser unchanged.
 """
 
+import math
 from dataclasses import dataclass
 
 from .. import landscape
@@ -42,6 +43,22 @@ def _is_int(v):
 
 def _is_num(v):
     return _is_int(v) or isinstance(v, float)
+
+
+def _check_finite(kind, path, v):
+    """Reject NaN and +-Infinity anywhere in ``v``.
+
+    JSON has neither, but ``json.load`` accepts both; a non-finite
+    number would pass range checks like ``D <= 0`` and fail mid-run.
+    """
+    if isinstance(v, float) and not math.isfinite(v):
+        raise ConfigError(f"{kind}: {path} must be a finite number, got {v!r}")
+    if isinstance(v, dict):
+        for k, x in v.items():
+            _check_finite(kind, f"{path}.{k}", x)
+    elif isinstance(v, list):
+        for i, x in enumerate(v):
+            _check_finite(kind, f"{path}[{i}]", x)
 
 
 def _coerce(kind, key, f, v):
@@ -361,6 +378,7 @@ def parse_config(kind, raw, seed_override=None):
     params = {}
     for key, f in schema.items():
         if key in raw:
+            _check_finite(kind, key, raw[key])
             params[key] = _coerce(kind, key, f, raw[key])
         elif f.required:
             raise ConfigError(f"{kind}: missing required key {key!r}")

@@ -154,6 +154,10 @@ def test_critical_path_contracts():
     for kw in ((0.0, 11, 0.1), (1.0, 2, 0.1), (1.0, 11, 0.0)):
         with pytest.raises(ContractError):
             minimum_action_path(pot, np.zeros(1), np.ones(1), *kw)
+    # a budget below one iteration is refused, not rounded up to one
+    for maxiter in (0, -5):
+        with pytest.raises(ContractError, match="maxiter"):
+            minimum_action_path(pot, np.zeros(1), np.ones(1), 1.0, 11, 0.1, maxiter=maxiter)
 
 
 def test_opt_config_budget_is_respected():
@@ -246,6 +250,136 @@ def test_lbfgs_refuses_an_incompatible_scipy(monkeypatch):
         action._load_setulb()
     monkeypatch.undo()
     assert action._load_setulb().__doc__.startswith(action._SETULB_SIGNATURE)
+
+
+def _reference_flow(p, start, end, T, n_knots):
+    """``_flow_interpolant`` without the fixed-point exit: every substep taken."""
+    h = T / ((n_knots - 1) * action._FLOW_SUBSTEPS)
+    clamp = 10.0 * (np.linalg.norm(start) + np.linalg.norm(end) + 1.0)
+    W = np.empty((n_knots, p.dim))
+    w = start.copy()
+    W[0] = w
+    for k in range(1, n_knots):
+        for _ in range(action._FLOW_SUBSTEPS):
+            w = w + h * (-p.grad(w))
+            nrm = np.linalg.norm(w)
+            if nrm > clamp:
+                w = w * (clamp / nrm)
+        W[k] = w
+    t = np.linspace(0.0, 1.0, n_knots)[:, None]
+    return W + t * (end - W[-1])
+
+
+_CHANNEL_ACTION = landscape.Channel2D(
+    landscape.DoubleWell1D(), landscape.Polynomial1D([2.5, 0.0, 4.0])
+)
+
+# name -> (potential, start, end, T, n_knots, substeps the flow takes)
+_FLOW_CASES = {
+    # a minimum: the first substep returns the start
+    "stationary": (_CHANNEL_ACTION, [-1.0, 0.0], [1.0, 0.0], 4.0, 33, 1),
+    # relaxes toward the origin and never settles within T
+    "relaxing": (landscape.Quadratic([1.0, 2.0]), [1.2, -0.8], [0.27, -0.04], 1.5, 61, 600),
+    # settles on the minimum at w = 1 partway through
+    "settling": (landscape.DoubleWell1D(), [0.3], [1.0], 100.0, 41, None),
+    # runs away from the top of an inverted bowl and is held on the clamp
+    "clamped": (landscape.Quadratic([-3.0]), [0.5], [0.0], 3.0, 21, None),
+    # the first substep turns -0.0 into 0.0, a change; the second is the fixed point
+    "negative-zero": (landscape.Quadratic([1.0, 2.0]), [-0.0, 0.0], [0.5, -0.0], 1.0, 11, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOW_CASES))
+def test_flow_interpolant_matches_full_stepping_bitwise(name, monkeypatch):
+    p, start, end, T, n, substeps = _FLOW_CASES[name]
+    start, end = np.array(start), np.array(end)
+    ref = _reference_flow(p, start, end, T, n)
+    calls = [0]
+    grad = p.grad
+
+    def counted(w):
+        calls[0] += 1
+        return grad(w)
+
+    monkeypatch.setattr(p, "grad", counted)
+    got = action._flow_interpolant(p, start, end, T, n)
+    assert got.tobytes() == ref.tobytes()
+    full = (n - 1) * action._FLOW_SUBSTEPS
+    if substeps is not None:
+        assert calls[0] == substeps
+    elif name == "settling":
+        assert calls[0] < full
+    assert calls[0] <= full
+
+
+def _reference_minimum_action_path(p, w0, wf, T, n_knots, D, maxiter=1500):
+    """``minimum_action_path`` with every start descended and every flow
+    substep taken: the bitwise reference for the shared descents."""
+    dt = T / (n_knots - 1)
+    times = np.arange(n_knots) * dt
+    lin = w0 + (wf - w0) * (times / T)[:, None]
+    starts = [
+        lin,
+        _reference_flow(p, w0, wf, T, n_knots),
+        _reference_flow(p, wf, w0, T, n_knots)[::-1].copy(),
+    ]
+    fun, _ = _interior_action(p, w0, wf, T, n_knots, D)
+
+    def unpack(x):
+        return np.vstack([w0, x.reshape(n_knots - 2, p.dim), wf])
+
+    found = []
+    for W_init in starts:
+        x0 = W_init[1:-1].ravel()
+        fg0 = fun(x0)
+        x, success, _, _ = action._lbfgs(fun, x0, fg0, maxiter, 1e-12, 1e-16)
+        W = unpack(x)
+        S, g = action._action_and_grad(p, W, dt, D)
+        gn = float(np.linalg.norm(g))
+        found.append((S, gn, W, success and gn <= 1e-4 * max(1.0, float(np.linalg.norm(fg0[1])))))
+    scale = max(1.0, float(np.max(np.abs(np.stack([f[2] for f in found])))))
+    reps = []
+    for S, gn, W, ok in sorted(found, key=lambda f: f[0]):
+        if not any(np.max(np.abs(W - Wr)) < 1e-3 * scale for _, _, Wr, _ in reps):
+            reps.append((S, gn, W, ok))
+    out = []
+    for S, gn, W, ok in reps:
+        path = Path(times, W)
+        res_el, sc_el = action._el_residual(p, W, dt, D)
+        out.append(action.CriticalPath(path, om_action(p, path, D), res_el, sc_el, ok))
+    return out
+
+
+def _critical_path_bits(cp):
+    a = cp.action
+    return (cp.path.points.tobytes(), cp.path.times.tobytes(), a.total, a.static_term,
+            a.dynamic_term, a.per_segment.tobytes(), cp.el_residual, cp.el_scale, cp.converged)
+
+
+_MAP_CASES = {
+    # the channel-action workload: minimum to minimum, all three starts identical
+    "channel-action": ((_CHANNEL_ACTION, np.array([-1.0, 0.0]), np.array([1.0, 0.0]), 4.0, 33, 0.1), 1),
+    # the action-check test config: three distinct starts
+    "quadratic": (_quadratic_case(1500)[:6], 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MAP_CASES))
+def test_identical_starts_are_descended_once(name, monkeypatch):
+    args, descents = _MAP_CASES[name]
+    ref = _reference_minimum_action_path(*args)
+    calls = [0]
+    lbfgs = action._lbfgs
+
+    def counted(*a):
+        calls[0] += 1
+        return lbfgs(*a)
+
+    monkeypatch.setattr(action, "_lbfgs", counted)
+    cp = minimum_action_path(*args)
+    assert calls[0] == descents
+    assert [_critical_path_bits(c) for c in [cp, *cp.alternates]] == [_critical_path_bits(c) for c in ref]
+    assert not any(c.alternates for c in cp.alternates)
 
 
 _GRAD_POTENTIALS = {

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import reachlab
 from reachlab import complexity, diffusion, landscape, tasks
-from reachlab.errors import ConfigError, SchemaError
+from reachlab.errors import ConfigError, SchemaError, SimulationError
 from reachlab.harness import experiments
 from reachlab.harness.bundle import ResultBundle
 from reachlab.harness.cli import main as cli_main
@@ -844,6 +844,79 @@ def test_cli_rejects_bad_configs_with_exit_two(tmp_path, capsys):
     ok = _write_json(tmp_path / "ok.json", dict(KRAMERS_RAW))
     assert cli_main(["kramers-sweep", "--config", ok, "--out", str(tmp_path), "--workers", "0"]) == 2
     assert capsys.readouterr().err  # every rejection explains itself on stderr
+
+
+@pytest.mark.parametrize("key, value", [
+    ("D", float("nan")),
+    ("duration", float("inf")),
+    ("start", [1.2, float("-inf")]),
+    ("potential", {"name": "quadratic", "a": [1.0, float("nan")]}),
+])
+def test_cli_rejects_non_finite_numbers_with_exit_two(tmp_path, capsys, key, value):
+    # json.load reads NaN and Infinity; they must fail the schema, not the run
+    cfgp = _write_json(tmp_path / "cfg.json", dict(ACTION_RAW, **{key: value}))
+    out = tmp_path / "out"
+    assert cli_main(["action-check", "--config", cfgp, "--out", str(out)]) == 2
+    assert "must be a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_pins_openblas_threads_unless_the_caller_did(tmp_path, monkeypatch):
+    cfgp = _write_json(tmp_path / "cfg.json", dict(ACTION_RAW, optimize=False))
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert cli_main(["action-check", "--config", cfgp, "--out", str(tmp_path / "a")]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    assert cli_main(["action-check", "--config", cfgp, "--out", str(tmp_path / "b")]) == 0
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_cli_abort_note_is_serialized_before_its_file_opens(tmp_path, monkeypatch):
+    from reachlab.harness import cli
+
+    def failing_run(cfg, out_dir, workers=1):
+        raise SimulationError("stopped")
+
+    def unserializable(obj):
+        raise ValueError("Out of range float values are not JSON compliant")
+
+    monkeypatch.setattr(cli, "run_experiment", failing_run)
+    monkeypatch.setattr(cli, "canonical_json", unserializable)
+    cfgp = _write_json(tmp_path / "cfg.json", dict(ACTION_RAW, optimize=False))
+    out = tmp_path / "out"
+    with pytest.raises(ValueError):
+        cli_main(["action-check", "--config", cfgp, "--out", str(out)])
+    assert not (out / "aborted.json").exists()
+
+
+# The channel-action benchmark workload's config, and the sha256 of its
+# canonical result fields (the bundle without timing) at seed 0: a change
+# that moves it must say which result changed and why.
+CHANNEL_ACTION_RAW = {
+    "seed": 0,
+    "potential": {
+        "name": "channel_2d",
+        "a": {"name": "double_well_1d"},
+        "b": {"name": "polynomial_1d", "coeffs": [2.5, 0.0, 4.0]},
+    },
+    "start": [-1.0, 0.0],
+    "end": [1.0, 0.0],
+    "duration": 4.0,
+    "n_knots": 33,
+    "D": 0.1,
+    "maxiter": 1500,
+}
+CHANNEL_ACTION_DIGEST = "e7eb5a9d6ab5ccbc97107890745d65af92e54ca3874a8039e6f0314cebaf92f7"
+
+
+def test_channel_action_result_digest_is_pinned(tmp_path):
+    cfg = parse_config("action-check", dict(CHANNEL_ACTION_RAW))
+    experiments.run_experiment(cfg, str(tmp_path))
+    with open(tmp_path / "bundle.json") as fh:
+        bundle = json.load(fh)
+    fields = {k: v for k, v in bundle.items() if k != "timing"}
+    text = json.dumps(fields, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    assert hashlib.sha256(text.encode()).hexdigest() == CHANNEL_ACTION_DIGEST
 
 
 def test_cli_rejects_a_start_inside_the_target(tmp_path, capsys):

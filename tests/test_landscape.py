@@ -108,6 +108,52 @@ def test_vectorized_forms_agree_pointwise(pot):
         assert np.array_equal(pot.grad_laplacian(W[k]), loop_grad_laplacian_many(pot, W[k:k + 1])[0])
 
 
+class Cubic3(landscape.Potential):
+    """U = u^2 v + v w^2 + w^4 / 4: a dim-3 subclass with only the required
+    batched forms, whose Hessian trace 4v + 3w^2 couples coordinates."""
+
+    dim = 3
+
+    def value_many(self, W):
+        u, v, w = self._check_many(W).T
+        return u * u * v + v * w * w + w ** 4 / 4
+
+    def grad_many(self, W):
+        u, v, w = self._check_many(W).T
+        return np.stack([2.0 * u * v, u * u + w * w, 2.0 * v * w + w ** 3], axis=1)
+
+    def hessian_many(self, W):
+        u, v, w = self._check_finite_many(W).T
+        z = np.zeros_like(u)
+        return np.array([
+            [2.0 * v, 2.0 * u, z],
+            [2.0 * u, z, 2.0 * w],
+            [z, 2.0 * w, 2.0 * v + 3.0 * w * w],
+        ]).transpose(2, 0, 1)
+
+
+@pytest.mark.parametrize("n", [1, 64])
+def test_default_grad_laplacian_many_is_one_stacked_call(n, monkeypatch):
+    p = Cubic3()
+    W = np.random.default_rng(n).uniform(-1.5, 1.5, (n, 3))
+    W[0, 1] = -0.0
+    ref = loop_grad_laplacian_many(p, W)
+    rows = []
+    hessian_many = p.hessian_many
+
+    def counted(X):
+        rows.append(len(X))
+        return hessian_many(X)
+
+    monkeypatch.setattr(p, "hessian_many", counted)
+    got = p.grad_laplacian_many(W)
+    assert rows == [2 * p.dim * n]  # every shifted copy of the batch in one call
+    assert got.shape == (n, 3) and got.flags.c_contiguous
+    assert got.tobytes() == ref.tobytes()
+    assert np.allclose(got, np.stack([np.zeros(n), np.full(n, 4.0), 6.0 * W[:, 2]], axis=1),
+                       atol=1e-6)
+
+
 _coef = st.floats(-2.0, 2.0, allow_nan=False)
 _even = st.floats(0.0, 2.0, allow_nan=False)
 
