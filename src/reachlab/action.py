@@ -327,10 +327,12 @@ def _ensemble_states(p, w0, params, n_runs, record_every=0, burn_frac=0.0):
     """
     W = np.tile(check_point(p, w0), (n_runs, 1))
     gens = [stream(params.seed, i) for i in range(n_runs)]
+    amp = np.full(n_runs, params.amplitude)
     burn = int(burn_frac * params.max_steps)
     recs = [np.empty(0)]
     for k0 in range(0, params.max_steps, _NOISE_CHUNK):
-        traj = _langevin_block(p, W, gens, params, k0)
+        m = min(_NOISE_CHUNK, params.max_steps - k0)
+        traj = _langevin_block(p, W, gens, amp, params.dt, m)
         W = traj[-1]
         if record_every:
             k = np.arange(k0, k0 + len(traj)) - burn

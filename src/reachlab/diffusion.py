@@ -11,13 +11,19 @@ Ensembles (first passage, convergence times) give run i the Philox stream
 (seed, i), so their statistics do not depend on execution order and are
 bit-identical across --workers settings.  Their runs step in lockstep as
 one batched computation, and draw their randomness per run in chunks of
-_NOISE_CHUNK steps.  A Langevin run's chunk (``simulate_langevin``'s path
-included) is ``standard_normal((m, d))``, the stream these simulators
-drew when they stepped one step per loop pass; ``_langevin_block`` steps
-it, and steps past a run's passage are discarded.  For SGD, run i's
-chunk is ``integers(0, n, size=(m, B))``, which equals m per-step draws
-of ``integers(0, n, size=B)``; draws past the step at which a run stops
-are discarded, so run i's time depends on its own stream alone.
+at most _NOISE_CHUNK steps.  A Langevin run's noise is the row sequence
+of ``standard_normal((m, d))`` draws: m rows drawn at once equal the
+same rows drawn in any split, so the block length is free and the
+stream is the one these simulators drew when they stepped one step per
+loop pass.  ``_langevin_block`` steps one block for runs that may each
+have their own noise amplitude; ``first_passage_many`` uses that to
+step the walkers of several noise levels (cells) as one ensemble, with
+blocks short enough that the ensemble never holds more states than one
+cell's _NOISE_CHUNK-step block.  Steps past a run's passage are
+discarded.  For SGD, run i's chunk is ``integers(0, n, size=(m, B))``,
+which equals m per-step draws of ``integers(0, n, size=B)``; draws past
+the step at which a run stops are discarded, so run i's time depends on
+its own stream alone.
 """
 
 import warnings
@@ -30,7 +36,7 @@ from .errors import ContractError, NumericalError, SimulationError
 from .landscape import check_point
 from .rng import stream
 
-_NOISE_CHUNK = 1024  # steps of noise drawn per refill; fixed, part of the stream contract
+_NOISE_CHUNK = 1024  # most steps of noise a run draws at once
 
 
 @dataclass(frozen=True)
@@ -45,8 +51,15 @@ class DiffusionParams:
             raise ContractError("D must be nonnegative and finite")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ContractError("dt must be positive")
+        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, (int, np.integer)):
+            raise ContractError(f"max_steps must be an integer, got {self.max_steps!r}")
         if self.max_steps < 1:
             raise ContractError("max_steps must be >= 1")
+
+    @property
+    def amplitude(self):
+        """Per-step noise amplitude sqrt(2 D dt)."""
+        return np.sqrt(2.0 * self.D * self.dt)
 
 
 @dataclass(frozen=True)
@@ -136,37 +149,37 @@ class EscapeStats:
         }
 
 
-def _warn_if_stiff(p, w0, params):
+def _warn_if_stiff(p, w0, dt):
     try:
         lam = float(np.linalg.eigvalsh(p.hessian(w0)).max())
     except np.linalg.LinAlgError:
         return
-    if params.dt * max(lam, 0.0) >= 0.5:
+    if dt * max(lam, 0.0) >= 0.5:
         warnings.warn(
-            f"dt * max local curvature = {params.dt * lam:.3g} >= 0.5; "
+            f"dt * max local curvature = {dt * lam:.3g} >= 0.5; "
             "Euler-Maruyama may be unstable at this step size",
             RuntimeWarning,
             stacklevel=3,
         )
 
 
-def _langevin_block(p, W, gens, params, k0):
-    """States (m, R, d) after steps k0 + 1 .. k0 + m <= k0 + _NOISE_CHUNK of the runs W (R, d).
+def _langevin_block(p, W, gens, amp, dt, m):
+    """States (m, R, d) after the next m steps of the runs W (R, d).
 
-    Run r's noise is ``gens[r].standard_normal((m, d))``.  Nothing is checked per step: a
-    non-finite state steps on quietly, ``grad_many`` keeping it non-finite, for the caller
-    to find in the block.
+    Run r's noise is ``gens[r].standard_normal((m, d))`` times ``amp[r]``,
+    its sqrt(2 D dt); a run with amplitude 0 draws nothing.  Nothing is
+    checked per step: a non-finite state steps on quietly, ``grad_many``
+    keeping it non-finite, for the caller to find in the block.
     """
-    m = min(_NOISE_CHUNK, params.max_steps - k0)
     traj = np.zeros((m,) + W.shape)
-    if params.D > 0:
-        for r, g in enumerate(gens):
+    for r, g in enumerate(gens):
+        if amp[r] > 0:
             traj[:, r] = g.standard_normal((m, W.shape[1]))
-        traj *= np.sqrt(2.0 * params.D * params.dt)
+    traj *= amp[:, None]
     with np.errstate(all="ignore"):
         for k in range(m):
             # step k's noise becomes its state; W - dt * g rounds as W + dt * (-g)
-            traj[k] += W - params.dt * p.grad_many(W)
+            traj[k] += W - dt * p.grad_many(W)
             W = traj[k]
     return traj
 
@@ -178,12 +191,12 @@ def simulate_langevin(p, w0, params):
     plain gradient descent with step dt.  Non-finite states raise
     NumericalError naming the offending step.
     """
-    n, gens = params.max_steps, [stream(params.seed)]
+    n, gens, amp = params.max_steps, [stream(params.seed)], np.array([params.amplitude])
     out = np.empty((n + 1, p.dim))
     out[0] = check_point(p, w0)
-    _warn_if_stiff(p, out[0], params)
+    _warn_if_stiff(p, out[0], params.dt)
     for k0 in range(0, n, _NOISE_CHUNK):
-        traj = _langevin_block(p, out[k0:k0 + 1], gens, params, k0)
+        traj = _langevin_block(p, out[k0:k0 + 1], gens, amp, params.dt, min(_NOISE_CHUNK, n - k0))
         bad = ~np.isfinite(traj).all(axis=(1, 2))
         if bad.any():
             raise NumericalError(f"non-finite state at step {k0 + int(bad.argmax()) + 1} (of {n})")
@@ -194,11 +207,33 @@ def simulate_langevin(p, w0, params):
 def first_passage(p, w0, target_center, radius, params, n_runs):
     """First-passage times into the ball |w - target| <= radius.
 
-    Runs n_runs independent walkers (stream (seed, i) for run i), stepping
-    them in lockstep as one vectorized ensemble; only the current block of
-    states is kept.  A start inside the ball gives time 0 for every run.  Runs
-    that never enter within max_steps are censored; if all runs censor,
-    that is an error suggesting a longer budget or larger D.
+    The one-cell case of ``first_passage_many``: its EscapeStats, or its
+    error raised.
+    """
+    (out,) = first_passage_many(p, w0, target_center, radius, [params], n_runs)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def first_passage_many(p, w0, target_center, radius, cells, n_runs):
+    """First-passage times into the ball |w - target| <= radius, per cell.
+
+    ``cells`` are DiffusionParams sharing dt and max_steps.  Each cell runs
+    n_runs independent walkers (stream (cells[c].seed, j) for walker j),
+    and every walker of every cell steps in lockstep as one vectorized
+    ensemble, so a grid of cells costs the steps of its slowest cell.
+    Only the current block of states is kept: with C cells a block is
+    _NOISE_CHUNK // C steps, so it holds no more states than one cell's
+    _NOISE_CHUNK-step block.  A start inside the ball gives time 0 for
+    every run.
+    Runs that never enter within max_steps are censored.
+
+    Returns one entry per cell: its EscapeStats, or the error that cell
+    alone raises -- a SimulationError when all its runs censor (suggesting
+    a longer budget or larger D), a NumericalError naming the step at
+    which one of its walkers turned non-finite before passage.  A failed
+    cell leaves the others running.
     """
     w0 = check_point(p, w0)
     target = check_point(p, target_center)
@@ -206,35 +241,51 @@ def first_passage(p, w0, target_center, radius, params, n_runs):
         raise ContractError("radius must be positive")
     if n_runs < 1:
         raise ContractError("n_runs must be >= 1")
-    _warn_if_stiff(p, w0, params)
+    if not cells or any((c.dt, c.max_steps) != (cells[0].dt, cells[0].max_steps) for c in cells):
+        raise ContractError("cells must be one or more DiffusionParams sharing dt and max_steps")
+    dt, n_steps = cells[0].dt, cells[0].max_steps
+    _warn_if_stiff(p, w0, dt)
 
     r2 = radius * radius
     if float(np.sum((w0 - target) ** 2)) <= r2:
-        return EscapeStats.from_times([0.0] * n_runs, n_runs)
+        return [EscapeStats.from_times([0.0] * n_runs, n_runs) for _ in cells]
 
-    gens = [stream(params.seed, i) for i in range(n_runs)]
-    W, runs = np.tile(w0, (n_runs, 1)), np.arange(n_runs)
-    passed_at = np.full(n_runs, -1, dtype=np.int64)
+    out = [None] * len(cells)
+    gens = [stream(c.seed, j) for c in cells for j in range(n_runs)]
+    amps = np.repeat([c.amplitude for c in cells], n_runs)
+    cell_of = np.repeat(np.arange(len(cells)), n_runs)
+    W, runs = np.tile(w0, (len(gens), 1)), np.arange(len(gens))
+    passed_at = np.full(len(gens), -1, dtype=np.int64)
+    block = max(1, _NOISE_CHUNK // len(cells))  # no more states than one cell's full block
     k0 = 0
-    while runs.size and k0 < params.max_steps:
-        traj = _langevin_block(p, W, [gens[i] for i in runs], params, k0)
+    while runs.size and k0 < n_steps:
+        m = min(block, n_steps - k0)
+        traj = _langevin_block(p, W, [gens[i] for i in runs], amps[runs], dt, m)
         with np.errstate(over="ignore"):
             hit = np.sum((traj - target) ** 2, axis=2) <= r2  # (steps, runs)
         first, passed = hit.argmax(axis=0), hit.any(axis=0)
-        last = np.where(passed, first, len(traj))  # later steps are discarded, finite or not
-        bad = (~np.isfinite(traj).all(2) & (np.arange(len(traj))[:, None] <= last)).any(1)
+        last = np.where(passed, first, m)  # later steps are discarded, finite or not
+        bad = ~np.isfinite(traj).all(2) & (np.arange(m)[:, None] <= last)
+        done = passed
         if bad.any():
-            raise NumericalError(f"non-finite ensemble state at step {k0 + int(bad.argmax()) + 1}")
+            bad_run, cell = bad.any(axis=0), cell_of[runs]
+            bad_at = np.where(bad_run, bad.argmax(axis=0), m)
+            for c in np.unique(cell[bad_run]):
+                step = k0 + int(bad_at[cell == c].min()) + 1
+                out[c] = NumericalError(f"non-finite ensemble state at step {step}")
+                done = done | (cell == c)
         passed_at[runs[passed]] = k0 + first[passed] + 1
-        W, runs = traj[-1][~passed], runs[~passed]
-        k0 += len(traj)
-    times = passed_at[passed_at >= 0] * params.dt
-    if times.size == 0:
-        raise SimulationError(
-            f"all {n_runs} runs censored at {params.max_steps} steps; "
-            "increase max_steps or D, or move the target"
-        )
-    return EscapeStats.from_times(times.tolist(), n_runs)
+        W, runs = traj[-1][~done], runs[~done]
+        k0 += m
+    for c in range(len(cells)):
+        if out[c] is None:
+            mine = passed_at[c * n_runs:(c + 1) * n_runs]
+            times = mine[mine >= 0] * dt
+            out[c] = EscapeStats.from_times(times.tolist(), n_runs) if times.size else SimulationError(
+                f"all {n_runs} runs censored at {n_steps} steps; "
+                "increase max_steps or D, or move the target"
+            )
+    return out
 
 
 # -- SGD ----------------------------------------------------------------------

@@ -168,16 +168,31 @@ def _floor(task, W, converged, extra):
 # -- kramers-sweep -------------------------------------------------------------
 
 
-def _kramers_cell(args):
-    params, seed, k, D = args
-    pot = check_potential(params["potential"])
-    dp = diffusion.DiffusionParams(
-        D=D, dt=params["dt"], max_steps=params["max_steps"], seed=_sub_seed(seed, _CELL, k)
-    )
-    st = diffusion.first_passage(
-        pot, np.array(params["w0"]), np.array(params["target"]), params["radius"], dp,
-        params["n_runs"],
-    )
+def _kramers_group(args):
+    """One ``first_passage_many`` call over the grid points ks.
+
+    Returns, per point, its record or the domain error that point raised.
+    """
+    params, seed, ks = args
+    grid = params["d_grid"]
+    try:
+        pot = check_potential(params["potential"])
+        cells = [
+            diffusion.DiffusionParams(
+                D=grid[k], dt=params["dt"], max_steps=params["max_steps"], seed=_sub_seed(seed, _CELL, k)
+            )
+            for k in ks
+        ]
+        outs = diffusion.first_passage_many(
+            pot, np.array(params["w0"]), np.array(params["target"]), params["radius"], cells,
+            params["n_runs"],
+        )
+    except _DOMAIN_ERRORS as exc:
+        return [exc] * len(ks)
+    return [out if isinstance(out, Exception) else _kramers_record(grid[k], out) for k, out in zip(ks, outs)]
+
+
+def _kramers_record(D, st):
     return {
         "D": D,
         "inv_D": 1.0 / D,
@@ -191,12 +206,26 @@ def _kramers_cell(args):
 
 
 def _kramers_sweep(cfg, out_dir, workers):
+    """Every D of the grid steps in one Langevin ensemble per worker.
+
+    The grid is dealt into min(workers, len(grid)) groups; each group is one
+    stacked ``first_passage_many`` call, so a group costs the steps of its
+    slowest point.  Every point keeps its own seed, so the grouping cannot
+    change a result.
+    """
     params, seed = cfg.params, cfg.seed
-    records, flags = _sweep(
-        _kramers_cell,
-        [(f"D={D:g}", (params, seed, k, D)) for k, D in enumerate(params["d_grid"])],
-        workers,
-    )
+    grid = params["d_grid"]
+    n_groups = max(1, min(workers, len(grid)))  # workers < 1 runs in-process, as in _sweep
+    groups = [list(range(g, len(grid), n_groups)) for g in range(n_groups)]
+    # a group hands back its points' domain errors, so _sweep flags nothing
+    outs, _ = _sweep(_kramers_group, [(None, (params, seed, ks)) for ks in groups], workers)
+    records, flags = [], {}
+    for k, D in enumerate(grid):
+        out = outs[k % n_groups][k // n_groups]
+        if isinstance(out, Exception):
+            flags[f"D={D:g}"] = f"{type(out).__name__}: {out}"
+        else:
+            records.append(out)
     summary = {"barrier": None, "barrier_if_half_exponent": None, "fit": None}
     plots = [
         (

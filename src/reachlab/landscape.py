@@ -248,6 +248,8 @@ class Channel2D(Potential):
         if not isinstance(b, Potential) or b.dim != 1:
             raise ContractError("Channel2D stiffness b must be a 1-D potential")
         lo, hi = float(u_box[0]), float(u_box[1])
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ContractError("u_box ends must be finite")
         if not lo < hi:
             raise ContractError("u_box must be an increasing interval")
         self.a = a

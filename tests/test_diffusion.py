@@ -16,6 +16,7 @@ from reachlab.diffusion import (
     convergence_time,
     exact_minibatch_covariance,
     first_passage,
+    first_passage_many,
     noise_covariance,
     simulate_langevin,
     simulate_sgd,
@@ -58,9 +59,12 @@ def test_path_reversal_keeps_grid_and_flips_points():
 
 
 def test_diffusion_params_contracts():
-    for kw in ({"D": -0.1}, {"dt": 0.0}, {"max_steps": 0}, {"D": np.nan}):
+    bad = ({"D": -0.1}, {"dt": 0.0}, {"max_steps": 0}, {"D": np.nan}, {"max_steps": 2.5},
+           {"max_steps": True}, {"max_steps": "10"})
+    for kw in bad:
         with pytest.raises(ContractError):
             DiffusionParams(**{"D": 0.1, "dt": 0.01, "max_steps": 10, **kw})
+    assert DiffusionParams(D=0.1, dt=0.01, max_steps=np.int64(10)).max_steps == 10
 
 
 # -- simulate_langevin --------------------------------------------------------------
@@ -297,15 +301,113 @@ def test_langevin_path_matches_the_per_step_loop(D, dt, max_steps, seed):
     assert np.array_equal(simulate_langevin(q, w0, par).points, _reference_langevin(q, w0, par))
 
 
-@pytest.mark.parametrize("step", [1, 1023, 1024, 1025, 2048, 2049])
+def _assert_cells_match(p, w0, target, radius, cells, n_runs):
+    """first_passage_many equals the per-cell reference, each cell's error included."""
+    got = first_passage_many(p, w0, target, radius, cells, n_runs)
+    assert len(got) == len(cells)
+    for params, out in zip(cells, got):
+        try:
+            times, n_cens = _reference_passage(p, w0, target, radius, params, n_runs)
+        except (NumericalError, SimulationError) as exc:
+            assert type(out) is type(exc)
+            if isinstance(exc, NumericalError):
+                assert str(out) == str(exc)
+            continue
+        assert isinstance(out, EscapeStats)
+        assert np.array_equal(out.samples, np.array(times))
+        assert out.n_censored == n_cens and out.n_runs == n_runs
+    return got
+
+
+@pytest.mark.parametrize("step", [1, 255, 256, 257, 1023, 1024, 1025, 2048, 2049])
 def test_passage_at_block_edges(step):
     # D = 0 descends w_k = 0.999^k deterministically; a radius between
-    # w_step and w_{step-1} puts every run's passage exactly at ``step``
+    # w_step and w_{step-1} puts every run's passage exactly at ``step``.
+    # Four cells step in blocks of 256, so 256 and 257 sit on their edges
     q = landscape.Quadratic([1.0])
     par = DiffusionParams(D=0.0, dt=1e-3, max_steps=3000, seed=0)
     w = _reference_langevin(q, np.array([1.0]), par)[:, 0]
-    es = _assert_passage_matches(q, np.array([1.0]), np.zeros(1), 0.5 * (w[step - 1] + w[step]), par, 3)
+    radius = 0.5 * (w[step - 1] + w[step])
+    es = _assert_passage_matches(q, np.array([1.0]), np.zeros(1), radius, par, 3)
     assert np.array_equal(es.samples, np.full(3, step * 1e-3))
+    cells = [par, DiffusionParams(D=0.3, dt=1e-3, max_steps=3000, seed=1),
+             DiffusionParams(D=0.0, dt=1e-3, max_steps=3000, seed=2),
+             DiffusionParams(D=0.02, dt=1e-3, max_steps=3000, seed=3)]
+    got = _assert_cells_match(q, np.array([1.0]), np.zeros(1), radius, cells, 3)
+    assert np.array_equal(got[0].samples, es.samples) and np.array_equal(got[2].samples, es.samples)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    Ds=st.lists(st.one_of(st.just(0.0), st.floats(0.02, 0.6), st.just(5e3)), min_size=1, max_size=5),
+    n_runs=st.integers(1, 6),
+    dt=st.floats(1e-3, 2e-2),
+    target=st.floats(-1.6, 0.2),
+    radius=st.floats(0.02, 0.5),
+    max_steps=st.integers(1, 2600),
+    seed=st.integers(0, 3),
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_stacked_cells_match_their_own_per_step_loops(Ds, n_runs, dt, target, radius, max_steps, seed):
+    # from the well bottom at -1, D = 0 never moves (a fully censored cell)
+    # and D = 5e3 overflows within a few steps (a diverging cell); a
+    # target within radius of -1 is a start inside the ball
+    cells = [DiffusionParams(D=D, dt=dt, max_steps=max_steps, seed=seed + c) for c, D in enumerate(Ds)]
+    _assert_cells_match(landscape.DoubleWell1D(), np.array([-1.0]), np.array([target]), radius, cells, n_runs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_failed_cell_leaves_the_others_running():
+    dw = landscape.DoubleWell1D()
+    cells = [DiffusionParams(D=D, dt=5e-3, max_steps=3000, seed=c) for c, D in enumerate([0.3, 5e3, 0.0, 0.25])]
+    got = _assert_cells_match(dw, np.array([-1.0]), np.array([1.0]), 0.1, cells, 6)
+    assert [type(out) for out in got] == [EscapeStats, NumericalError, SimulationError, EscapeStats]
+    assert str(got[1]).startswith("non-finite ensemble state at step ")
+    assert str(got[2]) == "all 6 runs censored at 3000 steps; increase max_steps or D, or move the target"
+    # a start inside the ball gives every cell time 0
+    inside = first_passage_many(dw, np.array([-1.0]), np.array([-0.95]), 0.1, cells, 4)
+    assert all(np.array_equal(es.samples, np.zeros(4)) for es in inside)
+
+
+def test_stacked_cells_share_dt_and_max_steps():
+    q = landscape.Quadratic([1.0])
+    a = DiffusionParams(D=0.1, dt=0.01, max_steps=100, seed=0)
+    for b in (DiffusionParams(D=0.1, dt=0.02, max_steps=100), DiffusionParams(D=0.1, dt=0.01, max_steps=99)):
+        with pytest.raises(ContractError, match="sharing dt and max_steps"):
+            first_passage_many(q, np.array([1.0]), np.zeros(1), 0.1, [a, b], 2)
+    with pytest.raises(ContractError):
+        first_passage_many(q, np.array([1.0]), np.zeros(1), 0.1, [], 2)
+
+
+@pytest.mark.parametrize("n_cells", [1, 3, 4, 5])
+def test_stacked_blocks_hold_no_more_states_than_one_cells_block(monkeypatch, n_cells):
+    shapes = []
+    block = diffusion._langevin_block
+
+    def recording(p, W, *args):
+        traj = block(p, W, *args)
+        shapes.append(traj.shape)
+        return traj
+
+    monkeypatch.setattr(diffusion, "_langevin_block", recording)
+    n_runs, chunk = 7, diffusion._NOISE_CHUNK
+    cells = [DiffusionParams(D=0.05, dt=5e-3, max_steps=3000, seed=c) for c in range(n_cells)]
+    first_passage_many(landscape.DoubleWell1D(), np.array([-1.0]), np.array([1.0]), 0.05, cells, n_runs)
+    assert shapes[0] == (chunk // n_cells, n_cells * n_runs, 1)
+    assert all(m * R <= chunk * n_runs for m, R, _ in shapes)
+    assert sum(m for m, _, _ in shapes) == 3000  # weak noise: some walker censors
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_split_noise_draws_equal_the_chunk(seed):
+    # the stream statement the stacked blocks rest on: a run's noise rows do
+    # not depend on how many steps each block draws
+    for d in (1, 2, 3):
+        whole = stream(seed, 1).standard_normal((1024, d))
+        for pieces in ((256, 256, 256, 256), (1, 300, 723)):
+            g = stream(seed, 1)
+            split = np.concatenate([g.standard_normal((m, d)) for m in pieces])
+            assert whole.tobytes() == split.tobytes()
 
 
 def test_passage_edge_cases_match_the_per_step_loop():

@@ -630,10 +630,18 @@ def test_finetune_truncated_checkpoint_is_recomputed(tmp_path):
 
 
 def test_bundles_are_deterministic_across_workers(tmp_path):
-    cfg = parse_config("kramers-sweep", dict(KRAMERS_RAW))
+    # 3 workers deal the 4 points into uneven groups; D = 1e-4 censors, and
+    # its flag keeps its key and text whichever group holds it
+    cfg = parse_config("kramers-sweep", dict(KRAMERS_RAW, d_grid=[0.3, 1e-4, 0.4, 0.25]))
     b1 = experiments.run_experiment(cfg, str(tmp_path / "w1"), workers=1)
-    b2 = experiments.run_experiment(cfg, str(tmp_path / "w2"), workers=2)
-    assert canonical_json(b1.result_fields()) == canonical_json(b2.result_fields())
+    assert [r["D"] for r in b1.records] == [0.3, 0.4, 0.25]
+    assert b1.flags == {
+        "D=0.0001": "SimulationError: all 4 runs censored at 20000 steps; "
+        "increase max_steps or D, or move the target"
+    }
+    for workers in (2, 3, 4):
+        b = experiments.run_experiment(cfg, str(tmp_path / f"w{workers}"), workers=workers)
+        assert canonical_json(b.result_fields()) == canonical_json(b1.result_fields()), workers
 
 
 def test_rerun_reproduces_a_bundle_from_its_snapshot(tmp_path):
@@ -909,14 +917,39 @@ CHANNEL_ACTION_RAW = {
 CHANNEL_ACTION_DIGEST = "e7eb5a9d6ab5ccbc97107890745d65af92e54ca3874a8039e6f0314cebaf92f7"
 
 
-def test_channel_action_result_digest_is_pinned(tmp_path):
-    cfg = parse_config("action-check", dict(CHANNEL_ACTION_RAW))
-    experiments.run_experiment(cfg, str(tmp_path))
-    with open(tmp_path / "bundle.json") as fh:
+def _result_digest(out_dir):
+    """sha256 of the written bundle's result fields, as the benchmark digests them."""
+    with open(out_dir / "bundle.json") as fh:
         bundle = json.load(fh)
     fields = {k: v for k, v in bundle.items() if k != "timing"}
     text = json.dumps(fields, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    assert hashlib.sha256(text.encode()).hexdigest() == CHANNEL_ACTION_DIGEST
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_channel_action_result_digest_is_pinned(tmp_path):
+    experiments.run_experiment(parse_config("action-check", dict(CHANNEL_ACTION_RAW)), str(tmp_path))
+    assert _result_digest(tmp_path) == CHANNEL_ACTION_DIGEST
+
+
+# The langevin-escape benchmark workload's config and its pinned digest at
+# seed 0, under the same rule.
+LANGEVIN_ESCAPE_RAW = {
+    "seed": 0,
+    "potential": {"name": "double_well_1d"},
+    "w0": [-1.0],
+    "target": [1.0],
+    "radius": 0.1,
+    "d_grid": [0.15, 0.2, 0.25, 0.3],
+    "dt": 0.002,
+    "max_steps": 30000,
+    "n_runs": 100,
+}
+LANGEVIN_ESCAPE_DIGEST = "d9952d4138dcd0e526e5f51f626d5b962ef39633fc1d35eaeae0a8b530fb7032"
+
+
+def test_langevin_escape_result_digest_is_pinned(tmp_path):
+    experiments.run_experiment(parse_config("kramers-sweep", dict(LANGEVIN_ESCAPE_RAW)), str(tmp_path))
+    assert _result_digest(tmp_path) == LANGEVIN_ESCAPE_DIGEST
 
 
 def test_cli_rejects_a_start_inside_the_target(tmp_path, capsys):

@@ -262,6 +262,13 @@ def test_channel_requires_positive_stiffness():
         )
 
 
+@pytest.mark.parametrize("u_box", [(-np.inf, 4.0), (-4.0, np.inf), (np.nan, 4.0)])
+def test_channel_rejects_a_non_finite_u_box_end(u_box):
+    # b(0) = -1, which the stiffness grid would miss on NaN grid points
+    with pytest.raises(ContractError, match="finite"):
+        landscape.Channel2D(landscape.DoubleWell1D(), landscape.Polynomial1D([-1.0, 0.0, 1.0]), u_box=u_box)
+
+
 def test_channel_value_assembles_profile_and_stiffness():
     ch = landscape.Channel2D(
         landscape.Polynomial1D([0.0, 0.0, 0.5]),
