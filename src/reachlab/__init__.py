@@ -6,8 +6,16 @@ stochastic process: potentials and their curvature corrections
 laws (``rates``, ``diffusion``), and the Gaussian information complexity
 of tasks (``complexity``, ``tasks``).  The ``harness`` subpackage runs
 the canned experiments behind the ``reachlab`` command.
+
+The submodules and ``stream`` load on first access, so ``import
+reachlab`` loads no numpy.
 """
 
-from . import action, complexity, diffusion, landscape, rates, tasks  # noqa: F401
+from ._lazy import namespace
 from ._version import __version__  # noqa: F401
-from .rng import stream  # noqa: F401
+
+__getattr__ = namespace(
+    __name__,
+    ("action", "complexity", "diffusion", "errors", "harness", "landscape", "rates", "rng", "tasks"),
+    {"stream": "rng"},
+)

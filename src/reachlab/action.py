@@ -160,19 +160,19 @@ _SETULB_SIGNATURE = "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,
 def _load_setulb():
     """scipy's compiled L-BFGS-B step, loaded without ``scipy.optimize``.
 
-    The package ``__init__`` imports linprog, shgo, scipy.linalg and
-    scipy.sparse, which cost more than every descent of a run; only the
-    ``_lbfgsb`` extension is loaded, on first use.
+    The ``scipy.optimize`` ``__init__`` imports linprog, shgo, scipy.linalg
+    and scipy.sparse, which cost more than every descent of a run; only
+    the ``_lbfgsb`` extension is loaded, on first use.  scipy is located
+    with ``find_spec``, so not even the ``scipy`` package ``__init__``
+    runs; it is imported only to name its version in the error.
     """
     import importlib.machinery
     import importlib.util
     import os
 
-    import scipy
-
     name = "scipy.optimize._lbfgsb"
     path = os.path.join(
-        os.path.dirname(scipy.__file__), "optimize",
+        importlib.util.find_spec("scipy").submodule_search_locations[0], "optimize",
         "_lbfgsb" + importlib.machinery.EXTENSION_SUFFIXES[0],
     )
     loader = importlib.machinery.ExtensionFileLoader(name, path)
@@ -181,6 +181,8 @@ def _load_setulb():
     setulb = getattr(mod, "setulb", None)
     # setulb is private; a call with the wrong arguments could crash
     if not (callable(setulb) and (setulb.__doc__ or "").startswith(_SETULB_SIGNATURE)):
+        import scipy
+
         raise ImportError(
             f"scipy {scipy.__version__}'s L-BFGS-B core is not "
             f"{_SETULB_SIGNATURE}; reachlab needs scipy>=1.17"

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tasks
-from .errors import ContractError, NumericalError, TrainingDivergedError
+from .errors import ContractError, NumericalError, TrainingDivergedError, check_int, check_real
 from .rng import stream
 
 
@@ -187,6 +187,9 @@ class TrainerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int("max_iters", self.max_iters)
+        for name in ("step_size", "grad_tol", "init_scale"):
+            check_real(name, getattr(self, name))
         if self.step_size <= 0 or self.max_iters < 1 or self.grad_tol < 0:
             raise ContractError("need step_size > 0, max_iters >= 1, grad_tol >= 0")
 

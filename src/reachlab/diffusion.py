@@ -23,7 +23,8 @@ cell's _NOISE_CHUNK-step block.  Steps past a run's passage are
 discarded.  For SGD, run i's chunk is ``integers(0, n, size=(m, B))``,
 which equals m per-step draws of ``integers(0, n, size=B)``; draws past
 the step at which a run stops are discarded, so run i's time depends on
-its own stream alone.
+its own stream alone.  The SGD functions import ``tasks`` themselves:
+the Langevin half, all that ``action`` uses, needs none of it.
 """
 
 import warnings
@@ -31,8 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tasks as tasklib
-from .errors import ContractError, NumericalError, SimulationError
+from .errors import ContractError, NumericalError, SimulationError, check_int, check_real
 from .landscape import check_point
 from .rng import stream
 
@@ -51,8 +51,7 @@ class DiffusionParams:
             raise ContractError("D must be nonnegative and finite")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ContractError("dt must be positive")
-        if isinstance(self.max_steps, bool) or not isinstance(self.max_steps, (int, np.integer)):
-            raise ContractError(f"max_steps must be an integer, got {self.max_steps!r}")
+        check_int("max_steps", self.max_steps)
         if self.max_steps < 1:
             raise ContractError("max_steps must be >= 1")
 
@@ -96,13 +95,6 @@ class Path:
 
     def reversed(self):
         return Path(self.times.copy(), self.points[::-1].copy(), self.truncated)
-
-    def to_csv(self, path):
-        """Write ``t,w0,...,w{d-1}`` rows."""
-        with open(path, "w") as fh:
-            fh.write("t," + ",".join(f"w{i}" for i in range(self.dim)) + "\n")
-            for t, w in zip(self.times, self.points):
-                fh.write(f"{t:.17g}," + ",".join(f"{v:.17g}" for v in w) + "\n")
 
 
 @dataclass(frozen=True)
@@ -298,6 +290,9 @@ class SGDConfig:
     max_steps: int
 
     def __post_init__(self):
+        check_real("eta", self.eta)
+        check_int("batch_size", self.batch_size)
+        check_int("max_steps", self.max_steps)
         if not (np.isfinite(self.eta) and self.eta > 0):
             raise ContractError("eta must be positive")
         if self.batch_size < 1 or self.max_steps < 1:
@@ -312,6 +307,8 @@ def _sgd_stepper(task, cfg, gens):
     weights are the rows of W.  Each run draws its minibatches in chunks
     of _NOISE_CHUNK steps, which reproduces the per-step draws.
     """
+    from . import tasks as tasklib
+
     n, B = task.data.n, cfg.batch_size
     gamma = task.model.weight_decay
     buf = np.empty((len(gens), _NOISE_CHUNK, B), dtype=np.int64)
@@ -364,6 +361,8 @@ def noise_covariance(task, w, batch_size, n_draws, seed):
     (d, d).  Its expectation is exactly Sigma_1 / B; see
     ``exact_minibatch_covariance`` for that reference value.
     """
+    from . import tasks as tasklib
+
     w = np.asarray(w, dtype=float)
     n = task.data.n
     if n_draws < 2:
@@ -385,6 +384,8 @@ def noise_covariance(task, w, batch_size, n_draws, seed):
 
 def exact_minibatch_covariance(task, w, batch_size):
     """Sigma_1 / B: population per-sample gradient covariance over batch size."""
+    from . import tasks as tasklib
+
     gs = tasklib.per_sample_grads(task, np.asarray(w, dtype=float))
     mu = gs.mean(axis=0)
     R = gs - mu
@@ -405,6 +406,8 @@ def convergence_time(task, w0, threshold, cfg, n_runs, seed):
     sit above the minimum achievable loss; estimating that minimum is the
     caller's job (the harness uses a preliminary full-batch descent).
     """
+    from . import tasks as tasklib
+
     w0 = np.asarray(w0, dtype=float)
     if not np.isfinite(threshold):
         raise ContractError("threshold must be finite")

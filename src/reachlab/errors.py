@@ -1,8 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the type checks that raise them."""
+
+import numbers
 
 
 class ContractError(ValueError):
     """An argument violates a documented precondition (shape, sign, range)."""
+
+
+def check_int(name, value):
+    """``value`` must be an integer (numpy's included), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ContractError(f"{name} must be an integer, got {value!r}")
+
+
+def check_real(name, value):
+    """``value`` must be a real number (numpy's included), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ContractError(f"{name} must be a real number, got {value!r}")
 
 
 class NumericalError(RuntimeError):

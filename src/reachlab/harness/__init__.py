@@ -1,6 +1,25 @@
-"""Experiment orchestration: configs, runners, bundles, the CLI."""
+"""Experiment orchestration: configs, runners, bundles, the CLI.
 
-from .bundle import ResultBundle  # noqa: F401
-from .config import KINDS, ExperimentConfig, parse_config  # noqa: F401
-from .experiments import RUNNERS, rerun, run_experiment  # noqa: F401
-from .io import CSV_SCHEMAS, validate_csv, validate_path_csv  # noqa: F401
+Submodules and re-exports load on first access.  ``python -m
+reachlab.harness.cli`` runs this file first, and the CLI must pin BLAS
+threads before anything imports numpy.
+"""
+
+from .._lazy import namespace
+
+__getattr__ = namespace(
+    __name__,
+    ("bundle", "cli", "config", "experiments", "io"),
+    {
+        "ResultBundle": "bundle",
+        "KINDS": "config",
+        "ExperimentConfig": "config",
+        "parse_config": "config",
+        "RUNNERS": "experiments",
+        "rerun": "experiments",
+        "run_experiment": "experiments",
+        "CSV_SCHEMAS": "io",
+        "validate_csv": "io",
+        "validate_path_csv": "io",
+    },
+)

@@ -5,8 +5,14 @@
 Exit codes: 0 success, 2 config rejected by the schema, 3 experiment
 failure (whatever completed stays on disk, plus an aborted.json note).
 All configuration is explicit; no environment variable configures a run.
-Before any work, ``main`` pins two glibc heap thresholds (``_pin_heap``)
-and, unless the caller set it, ``OPENBLAS_NUM_THREADS`` to 1.
+Before any work, ``main`` sets ``OPENBLAS_NUM_THREADS`` to 1, unless the
+caller set it.  This module imports only the standard library and
+numpy-free modules (``errors``, ``io``), and the package ``__init__``s
+load nothing, so the pin reaches both numpy's and scipy's OpenBLAS:
+``main`` imports the config parser and the runners only after it.
+Parsing a config imports the science modules its kind uses, and no
+others.  Once those and the runners are loaded, two glibc heap
+thresholds are pinned for the run (``_pin_heap``).
 """
 
 import argparse
@@ -23,8 +29,6 @@ from ..errors import (
     SimulationError,
     TrainingDivergedError,
 )
-from .config import KINDS, parse_config
-from .experiments import run_experiment
 from .io import canonical_json
 
 _RUNTIME_ERRORS = (
@@ -37,6 +41,8 @@ _RUNTIME_ERRORS = (
 
 
 def build_parser():
+    from .config import KINDS
+
     p = argparse.ArgumentParser(
         prog="reachlab",
         description="Run one canned diffusion/complexity experiment from a JSON config.",
@@ -77,13 +83,29 @@ def _pin_heap():
     )
 
 
-def main(argv=None):
+def run_experiment(cfg, out_dir, workers=1):
+    """``experiments.run_experiment``, imported once a run starts.
+
+    The heap thresholds are pinned after every import the run needs: set
+    before numpy's import, they kept its import-time buffers on the heap
+    and raised a label-sweep run's peak RSS by about 0.6 MB.
+    """
+    from .experiments import run_experiment
+
     _pin_heap()
-    # scipy's OpenBLAS loads with the first L-BFGS-B descent, after this
-    # line, and reads the variable then.  Unpinned, its threads made the
+    return run_experiment(cfg, out_dir, workers=workers)
+
+
+def main(argv=None):
+    # numpy's OpenBLAS loads with the first import of numpy and scipy's
+    # with the first L-BFGS-B descent, both after this line, and each
+    # reads the variable then.  Unpinned, scipy's threads made the
     # 62-variable descents of one action-check take 0.75 s instead of
-    # 0.002 s on a 2-core machine, in the first run after an idle pause.
+    # 0.002 s on a 2-core machine, in the first run after an idle pause,
+    # and numpy's changed the last bits of eigvalsh, so of the bundles.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from .config import parse_config
+
     args = build_parser().parse_args(argv)
     if args.workers < 1:
         print("error: --workers must be >= 1", file=sys.stderr)

@@ -5,16 +5,16 @@ rejected so a typo fails fast (CLI exit 2) instead of silently running
 a default.  Parsed configs are plain JSON-compatible dicts with the
 defaults filled in, so a config snapshot embedded in a result bundle
 round-trips through this parser unchanged.
+
+Each sub-object builder imports the science module that owns its
+dataclass, so parsing a config loads only what its kind runs.
 """
 
 import math
 from dataclasses import dataclass
 
-from .. import landscape
-from ..complexity import TrainerConfig
-from ..diffusion import SGDConfig
 from ..errors import ConfigError, ContractError
-from ..tasks import ModelSpec
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -111,6 +111,8 @@ _TASKSPEC_KEYS = {"label", "keep_classes", "corruption"}
 
 
 def build_model(d):
+    from ..tasks import ModelSpec
+
     if not isinstance(d, dict):
         raise ConfigError("model must be an object")
     extra = set(d) - _MODEL_KEYS
@@ -139,6 +141,8 @@ def check_data(d):
 
 
 def build_trainer(d, seed):
+    from ..complexity import TrainerConfig
+
     if not isinstance(d, dict):
         raise ConfigError("trainer must be an object")
     extra = set(d) - _TRAINER_KEYS
@@ -151,6 +155,8 @@ def build_trainer(d, seed):
 
 
 def build_sgd(d, batch_size=None):
+    from ..diffusion import SGDConfig
+
     if not isinstance(d, dict):
         raise ConfigError("sgd must be an object")
     keys = _SGD_KEYS - ({"batch_size"} if batch_size is not None else set())
@@ -198,6 +204,8 @@ def check_taskspec(n_classes, spec):
 
 
 def check_potential(d):
+    from .. import landscape
+
     try:
         return landscape.from_config(d)
     except ContractError as exc:

@@ -7,21 +7,24 @@ returns records, summary, flags, CSV rows and plot data.
 ``run_experiment`` is the only writer of results: it writes the
 schema-checked CSVs (each row a dict projected onto the columns
 registered in ``io.CSV_SCHEMAS``) and the plot files, then the
-ResultBundle, last and atomically.  It first removes an earlier run's
-``bundle.json`` and ``aborted.json``, so a ``bundle.json`` on disk means
-the latest run finished.  The finetune checkpoints (each written
-atomically) and the action-check path CSV are per-kind artifacts written
-while the kind runs.
+ResultBundle, last.  Every file is written atomically.  It first removes
+an earlier run's ``bundle.json`` and ``aborted.json``, so a
+``bundle.json`` on disk means the latest run finished.  The finetune
+checkpoints and the action-check path CSV are per-kind artifacts
+written while the kind runs.
 
 Domain failures inside a cell (diverged training, an ensemble that
 never converges) flag that cell and the sweep continues; programming
 errors propagate and abort the run.
+
+Every kind steps ``diffusion``; the other science modules are imported
+by the functions that use them, so a run loads only what its kind runs
+(an action-check never loads ``tasks``, ``complexity`` or ``rates``).
 """
 
 import contextlib
 import dataclasses
 import functools
-import hashlib
 import json
 import math
 import os
@@ -29,7 +32,7 @@ import time
 
 import numpy as np
 
-from .. import action, complexity, diffusion, rates, tasks
+from .. import diffusion
 from .._version import __version__
 from ..errors import ContractError, NumericalError, SimulationError, TrainingDivergedError
 from ..rng import stream
@@ -41,7 +44,7 @@ from .config import (
     check_potential,
     parse_config,
 )
-from .io import CSV_SCHEMAS, PlotSet, canonical_json, validate_path_csv, write_atomic, write_csv
+from .io import CSV_SCHEMAS, PlotSet, canonical_json, write_atomic, write_csv, write_path_csv
 
 # spawn-path tags under the experiment seed; one tag per purpose keeps
 # every consumer on a provably disjoint stream
@@ -120,6 +123,8 @@ def _spearman(xs, ys):
 
 
 def _base_dataset(params, seed):
+    from .. import tasks
+
     model = build_model(params["model"])
     d = params["data"]
     data = tasks.generate_blobs(
@@ -135,6 +140,8 @@ def _spec_dataset(params, seed, k):
     that differ only in corruption level share corrupted rows: the family
     is nested by construction, not just in expectation.
     """
+    from .. import tasks
+
     model, data = _base_dataset(params, seed)
     spec = params["tasks"][k]
     if spec["keep_classes"] is not None:
@@ -151,6 +158,8 @@ _FLOOR_RESTARTS = 4
 
 def _threshold_point(task, trainer, extra, name):
     """Convergence threshold: estimated minimum loss plus a margin."""
+    from .. import complexity
+
     W, converged, _ = complexity.train_minimizers(task, trainer, _FLOOR_RESTARTS, name=name)
     return _floor(task, W, converged, extra)
 
@@ -160,6 +169,8 @@ def _floor(task, W, converged, extra):
 
     The lowest final loss wins, the earliest restart on ties.
     """
+    from .. import tasks
+
     losses = tasks.loss_many(task, W)
     r = int(np.argmin(losses))
     return float(losses[r] + extra), float(losses[r]), bool(converged[r]), W[r]
@@ -213,6 +224,8 @@ def _kramers_sweep(cfg, out_dir, workers):
     slowest point.  Every point keeps its own seed, so the grouping cannot
     change a result.
     """
+    from .. import rates
+
     params, seed = cfg.params, cfg.seed
     grid = params["d_grid"]
     n_groups = max(1, min(workers, len(grid)))  # workers < 1 runs in-process, as in _sweep
@@ -260,6 +273,8 @@ def _task_cell(params, seed, k, model, data, name):
     The body shared by label-sweep and complexity-scatter cells.  Returns
     (record fields, escape stats, whether both descents converged).
     """
+    from .. import complexity, tasks
+
     task = tasks.Task(data, model)
     trainer = build_trainer(params["trainer"], _sub_seed(seed, _TRAIN))
     # the restarts and the posterior mean descend as one stack, the mean last
@@ -294,6 +309,8 @@ def _task_cell(params, seed, k, model, data, name):
 
 
 def _label_cell(args):
+    from .. import tasks
+
     params, seed, k, rho = args
     model, base = _base_dataset(params, seed)
     # one corruption stream for the whole grid: corrupted rows nest as
@@ -328,6 +345,8 @@ def _label_sweep(cfg, out_dir, workers):
 
 
 def _batch_cell(args):
+    from .. import complexity, tasks
+
     params, seed, k, B = args
     model, data = _base_dataset(params, seed)
     task = tasks.Task(data, model)
@@ -393,6 +412,8 @@ def _scatter_cell(args):
 
 
 def _complexity_scatter(cfg, out_dir, workers):
+    from .. import rates
+
     params, seed = cfg.params, cfg.seed
     records, flags = _sweep(
         _scatter_cell,
@@ -422,6 +443,8 @@ def _complexity_scatter(cfg, out_dir, workers):
 
 
 def _finetune_prep_cell(args):
+    from .. import tasks
+
     params, seed, i = args
     model, data = _spec_dataset(params, seed, i)
     label = params["tasks"][i]["label"]
@@ -446,6 +469,8 @@ def _finetune_cell(args):
     unreachable fine-tuning target, so it is recorded as a fully
     censored cell rather than treated as an error.
     """
+    from .. import tasks
+
     params, seed, i, j, w_start, threshold = args
     model, data = _spec_dataset(params, seed, j)
     task = tasks.Task(data, model)
@@ -492,6 +517,10 @@ def _load_checkpoint(ck_dir, cfg_hash, i, j):
 
 
 def _finetune_matrix(cfg, out_dir, workers):
+    import hashlib
+
+    from .. import complexity
+
     params, seed = cfg.params, cfg.seed
     labels = [s["label"] for s in params["tasks"]]
     n = len(labels)
@@ -602,6 +631,8 @@ def _finetune_matrix(cfg, out_dir, workers):
 
 
 def _structure_curve(cfg, out_dir, workers):
+    from .. import complexity, tasks
+
     params, seed = cfg.params, cfg.seed
     model, data = _base_dataset(params, seed)
     if params["corruption"] > 0:
@@ -639,6 +670,8 @@ def _breakdown_record(name, brk):
 
 
 def _action_check(cfg, out_dir, workers):
+    from .. import action
+
     params = cfg.params
     pot = check_potential(params["potential"])
     w0, wf = np.array(params["start"]), np.array(params["end"])
@@ -661,9 +694,7 @@ def _action_check(cfg, out_dir, workers):
             n_alternates=len(crit.alternates),
         )
         os.makedirs(out_dir, exist_ok=True)
-        path_csv = os.path.join(out_dir, "action_path.csv")
-        crit.path.to_csv(path_csv)
-        validate_path_csv(path_csv)
+        write_path_csv(os.path.join(out_dir, "action_path.csv"), crit.path.times, crit.path.points)
         if crit.path.dim <= 2:
             cols = ["t"] + [f"w{i}" for i in range(crit.path.dim)]
             rows = [

@@ -5,9 +5,14 @@ and is checked by validate_csv before the runner returns, so a schema
 drift breaks the run that introduced it rather than a reader later.
 Plot files are bare whitespace-separated numeric columns; axis names
 live in plots/manifest.json, keeping the .dat files tool-agnostic.
+Every file is written whole to a temp file, checked, then renamed
+(``write_atomic``), so a crash or a rejected row never leaves a
+truncated file under a final name.
 """
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -100,16 +105,16 @@ def _fmt(v):
 
 
 def write_csv(path, name, rows):
-    """Write rows under the registered header for ``name`` and validate."""
+    """Write rows under the registered header for ``name``, validated before the rename."""
     schema = CSV_SCHEMAS[name]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([c for c, _ in schema])
-        for row in rows:
-            if len(row) != len(schema):
-                raise SchemaError(f"{name}: row has {len(row)} cells, schema wants {len(schema)}")
-            w.writerow([_fmt(v) for v in row])
-    validate_csv(path, name)
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow([c for c, _ in schema])
+    for row in rows:
+        if len(row) != len(schema):
+            raise SchemaError(f"{name}: row has {len(row)} cells, schema wants {len(schema)}")
+        w.writerow([_fmt(v) for v in row])
+    write_atomic(path, buf.getvalue(), lambda tmp: validate_csv(tmp, name))
     return path
 
 
@@ -155,6 +160,13 @@ def _check_cell(name, ln, col, typ, cell):
         raise SchemaError(f"{where} must be finite, got {cell!r}")
 
 
+def write_path_csv(path, times, points):
+    """Write a trajectory as ``t,w0,...,w{d-1}`` rows, validated before the rename."""
+    lines = ["t," + ",".join(f"w{i}" for i in range(len(points[0])))]
+    lines += [f"{t:.17g}," + ",".join(f"{v:.17g}" for v in w) for t, w in zip(times, points)]
+    write_atomic(path, "\n".join(lines) + "\n", validate_path_csv)
+
+
 def validate_path_csv(path):
     """Trajectory CSVs have a variable width: t,w0,...,w{d-1}."""
     with open(path, newline="") as fh:
@@ -176,11 +188,24 @@ def canonical_json(obj):
     return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def write_atomic(path, text):
-    """Write ``text`` through a temp file, so ``path`` is never seen half written."""
-    with open(path + ".tmp", "w") as fh:
-        fh.write(text)
-    os.replace(path + ".tmp", path)
+def write_atomic(path, text, validate=None):
+    """Write ``text`` through a temp file, so ``path`` is never seen half written.
+
+    ``validate(tmp_path)``, if given, checks the complete temp file before
+    the rename; if it raises, the temp file is removed and ``path`` keeps
+    whatever it held before.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        if validate is not None:
+            validate(tmp)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+    os.replace(tmp, path)
 
 
 class PlotSet:
@@ -196,13 +221,11 @@ class PlotSet:
             raise SchemaError(f"plot file {fname!r} emitted twice")
         if not all(len(r) == len(columns) for r in rows):
             raise SchemaError(f"plot {fname!r}: row width != {len(columns)} columns")
-        with open(os.path.join(self.dir, fname), "w") as fh:
-            for row in rows:
-                fh.write(" ".join(f"{float(v):.17g}" for v in row) + "\n")
+        text = "".join(" ".join(f"{float(v):.17g}" for v in row) + "\n" for row in rows)
+        write_atomic(os.path.join(self.dir, fname), text)
         self.entries.append({"file": fname, "columns": list(columns)})
 
     def finish(self):
         path = os.path.join(self.dir, "manifest.json")
-        with open(path, "w") as fh:
-            fh.write(canonical_json({"files": sorted(self.entries, key=lambda e: e["file"])}))
+        write_atomic(path, canonical_json({"files": sorted(self.entries, key=lambda e: e["file"])}))
         return path

@@ -193,6 +193,27 @@ class DoubleWell1D(Potential):
         return 6.0 * self.scale * W
 
 
+def _polyval(x, c):
+    """Horner's rule for ascending coefficients ``c`` at the points ``x``.
+
+    The operations of ``numpy.polynomial.polynomial.polyval`` in its
+    order, so the results are its bits, without importing that package.
+    """
+    c0 = c[-1] + x * 0
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
+
+
+def _polyder(c, m):
+    """``numpy.polynomial.polynomial.polyder(c, m)``, bit for bit."""
+    if m >= len(c):
+        return c[:1] * 0
+    for _ in range(m):
+        c = c[1:] * np.arange(1, len(c))
+    return c
+
+
 class Polynomial1D(Potential):
     """One-dimensional polynomial in ascending coefficient order.
 
@@ -207,25 +228,23 @@ class Polynomial1D(Potential):
         if c.ndim != 1 or c.size == 0 or not np.all(np.isfinite(c)):
             raise ContractError("Polynomial1D needs finite ascending coefficients")
         self.coeffs = c
-        self._d1 = np.polynomial.polynomial.polyder(c, 1)
-        self._d2 = np.polynomial.polynomial.polyder(c, 2)
-        self._d3 = np.polynomial.polynomial.polyder(c, 3)
+        self._d1, self._d2, self._d3 = (_polyder(c, m) for m in (1, 2, 3))
 
     def value_many(self, W):
         W = self._check_many(W)
-        return np.polynomial.polynomial.polyval(W[:, 0], self.coeffs)
+        return _polyval(W[:, 0], self.coeffs)
 
     def grad_many(self, W):
         W = self._check_many(W)
-        return np.polynomial.polynomial.polyval(W[:, 0], self._d1)[:, None]
+        return _polyval(W[:, 0], self._d1)[:, None]
 
     def hessian_many(self, W):
         W = self._check_finite_many(W)
-        return np.polynomial.polynomial.polyval(W[:, 0], self._d2)[:, None, None]
+        return _polyval(W[:, 0], self._d2)[:, None, None]
 
     def grad_laplacian_many(self, W):
         W = self._check_finite_many(W)
-        return np.polynomial.polynomial.polyval(W[:, 0], self._d3)[:, None]
+        return _polyval(W[:, 0], self._d3)[:, None]
 
 
 class Channel2D(Potential):

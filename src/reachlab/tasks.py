@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, check_int, check_real
 from .rng import stream
 
 _FAMILIES = ("multinomial-logistic", "mlp-1-hidden")
@@ -207,6 +207,9 @@ class ModelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ContractError(f"family must be one of {_FAMILIES}, got {self.family!r}")
+        for name in ("input_dim", "n_classes", "hidden"):
+            check_int(name, getattr(self, name))
+        check_real("weight_decay", self.weight_decay)
         if self.input_dim < 1 or self.n_classes < 2:
             raise ContractError("need input_dim >= 1 and n_classes >= 2")
         if self.weight_decay < 0:

@@ -21,10 +21,12 @@ from reachlab.harness.cli import main as cli_main
 from reachlab.harness.config import KINDS, build_trainer, parse_config
 from reachlab.harness.io import (
     CSV_SCHEMAS,
+    PlotSet,
     canonical_json,
     validate_csv,
     validate_path_csv,
     write_csv,
+    write_path_csv,
 )
 
 KRAMERS_RAW = {
@@ -487,6 +489,58 @@ def test_write_csv_rejects_wrong_row_width(tmp_path):
         write_csv(str(tmp_path / "kramers_sweep.csv"), "kramers_sweep.csv", [(1.0, 2.0)])
 
 
+_GOOD_ROW = (0.1, 10.0, 54.2, 38.0, 1 / 54.2, 500, 0)
+
+
+def _csv_writer(path, second):
+    write_csv(str(path), "kramers_sweep.csv", [_GOOD_ROW, second])
+
+
+def _path_writer(path, second):
+    write_path_csv(str(path), [0.0, 0.1], [[1.0, 2.0], second])
+
+
+def _plot_writer(path, second):
+    PlotSet(str(path.parent.parent)).add(path.name, ["x", "y"], [(1.0, 2.0), second])
+
+
+@pytest.mark.parametrize("writer, good, bad", [
+    (_csv_writer, _GOOD_ROW, (1.0, 2.0)),  # rejected while the text is built
+    (_csv_writer, _GOOD_ROW, (0.1, 10.0, float("inf"), 38.0, 0.02, 500, 0)),  # by the validator
+    (_path_writer, [1.5, 2.5], [1.0]),
+    (_path_writer, [1.5, 2.5], [1.0, float("nan")]),
+    (_plot_writer, (3.0, 4.0), (3.0, "x")),
+], ids=["csv-width", "csv-validate", "path-width", "path-validate", "plot"])
+def test_a_writer_failing_after_its_first_row_leaves_the_final_path_alone(tmp_path, writer, good, bad):
+    (tmp_path / "plots").mkdir()
+    path = tmp_path / "plots" / "out"
+    with pytest.raises((SchemaError, ValueError)):
+        writer(path, bad)
+    assert not path.exists()
+    writer(path, good)
+    before = path.read_bytes()
+    with pytest.raises((SchemaError, ValueError)):
+        writer(path, bad)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]  # no temp file left
+
+
+def test_a_crash_before_the_rename_keeps_the_previous_manifest(tmp_path, monkeypatch):
+    plots = PlotSet(str(tmp_path))
+    plots.add("a.dat", ["x"], [(1.0,)])
+    before = open(plots.finish()).read()
+    plots.add("b.dat", ["x"], [(2.0,)])
+
+    def crash(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(KeyboardInterrupt):
+        plots.finish()
+    monkeypatch.undo()
+    assert (tmp_path / "plots" / "manifest.json").read_text() == before
+
+
 def test_validate_csv_requires_registered_schema(tmp_path):
     p = tmp_path / "anything.csv"
     p.write_text("a,b\n1,2\n")
@@ -671,42 +725,73 @@ def _write_json(path, obj):
     return str(path)
 
 
+def _modules_after(code, timeout=120):
+    """Run ``code`` in a fresh interpreter; return its last stdout line."""
+    src = os.path.dirname(os.path.dirname(reachlab.__file__))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True, timeout=timeout,
+    ).stdout.strip().splitlines()[-1]
+
+
 def test_cli_import_defers_scipy_optimize_and_stats():
     # only action-check descends, only the summaries fit or rank and only
     # --workers > 1 starts a process pool, so the CLI must not pay for these
-    # imports before it knows the kind and the worker count
-    src = os.path.dirname(os.path.dirname(reachlab.__file__))
+    # imports before it knows the kind and the worker count; and main pins
+    # BLAS threads, so numpy must not load before it runs
     deferred = (
         "scipy.optimize", "scipy.stats", "concurrent.futures.process", "multiprocessing",
-        "socket", "logging",
+        "socket", "logging", "numpy",
     )
     code = (
-        "import sys, reachlab.harness.cli; "
+        "import sys, reachlab, reachlab.harness.cli; "
         f"print(sorted(m for m in {deferred!r} if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, check=True, timeout=120,
-    ).stdout
-    assert out.strip() == "[]"
+    assert _modules_after(code) == "[]"
+
+
+def test_lazy_namespaces_resolve_on_access():
+    names = ("action", "complexity", "diffusion", "errors", "harness", "landscape", "rates", "rng", "tasks")
+    for name in names:
+        assert getattr(reachlab, name).__name__ == f"reachlab.{name}"
+    from reachlab import stream, tasks as tasks_mod
+    from reachlab.harness import ResultBundle as RB, rerun, run_experiment
+
+    assert stream is reachlab.rng.stream and tasks_mod is tasks
+    assert (RB, run_experiment, rerun) == (ResultBundle, experiments.run_experiment, experiments.rerun)
+    assert reachlab.harness.KINDS == KINDS
+    for pkg in (reachlab, reachlab.harness):
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            pkg.nope
+
+
+def test_kramers_sweep_runs_without_task_or_action_modules(tmp_path):
+    cfg = _write_json(tmp_path / "k.json", dict(KRAMERS_RAW, n_runs=2))
+    unused = ("reachlab.complexity", "reachlab.tasks", "reachlab.action")
+    code = (
+        "import sys; from reachlab.harness.cli import main; "
+        f"assert main(['kramers-sweep', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0; "
+        f"print(sorted(m for m in {unused!r} if m in sys.modules))"
+    )
+    assert _modules_after(code, timeout=300) == "[]"
+    assert json.loads((tmp_path / "out" / "bundle.json").read_text())["records"]
 
 
 def test_action_check_runs_without_scipy_optimize(tmp_path):
     # L-BFGS-B runs on scipy's compiled core alone; the scipy.optimize
-    # package would pull in scipy.linalg and scipy.sparse with it
-    src = os.path.dirname(os.path.dirname(reachlab.__file__))
+    # package would pull in scipy.linalg and scipy.sparse with it, and an
+    # action-check needs neither the scipy package nor the task modules
     cfg = _write_json(tmp_path / "action.json", ACTION_RAW)
-    heavy = ("scipy.optimize", "scipy.linalg", "scipy.sparse")
+    heavy = (
+        "scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy", "numpy.polynomial",
+        "reachlab.complexity", "reachlab.tasks", "reachlab.rates",
+    )
     code = (
         "import sys; from reachlab.harness.cli import main; "
         f"assert main(['action-check', '--config', {cfg!r}, '--out', {str(tmp_path / 'out')!r}]) == 0; "
         f"print(sorted(m for m in {heavy!r} if m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, check=True, timeout=300,
-    ).stdout
-    assert out.strip().splitlines()[-1] == "[]"
+    assert _modules_after(code, timeout=300) == "[]"
     assert json.loads((tmp_path / "out" / "bundle.json").read_text())["records"]
 
 
@@ -869,6 +954,32 @@ def test_cli_rejects_non_finite_numbers_with_exit_two(tmp_path, capsys, key, val
     assert not out.exists()
 
 
+_MLP_MODEL = {"family": "mlp-1-hidden", "input_dim": 2, "n_classes": 3, "hidden": 4, "activation": "tanh"}
+
+
+@pytest.mark.parametrize("obj, key, value, base", [
+    ("model", "n_classes", 3.0, LABEL_RAW["model"]),
+    ("model", "input_dim", 2.0, LABEL_RAW["model"]),
+    ("model", "hidden", 2.5, _MLP_MODEL),
+    ("model", "weight_decay", True, LABEL_RAW["model"]),
+    ("sgd", "max_steps", 2.5, LABEL_RAW["sgd"]),
+    ("sgd", "batch_size", True, LABEL_RAW["sgd"]),
+    ("sgd", "eta", True, LABEL_RAW["sgd"]),
+    ("trainer", "max_iters", 2.5, LABEL_RAW["trainer"]),
+    ("trainer", "max_iters", True, LABEL_RAW["trainer"]),
+    ("trainer", "step_size", True, LABEL_RAW["trainer"]),
+    ("trainer", "grad_tol", True, LABEL_RAW["trainer"]),
+    ("trainer", "init_scale", True, LABEL_RAW["trainer"]),
+])
+def test_cli_rejects_mistyped_sub_object_fields_with_exit_two(tmp_path, capsys, obj, key, value, base):
+    # counts must be integers and reals must be numbers; a bool is neither
+    cfgp = _write_json(tmp_path / "cfg.json", dict(LABEL_RAW, **{obj: dict(base, **{key: value})}))
+    out = tmp_path / "out"
+    assert cli_main(["label-sweep", "--config", cfgp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {obj}: {key} must be")
+    assert not out.exists()
+
+
 def test_cli_pins_openblas_threads_unless_the_caller_did(tmp_path, monkeypatch):
     cfgp = _write_json(tmp_path / "cfg.json", dict(ACTION_RAW, optimize=False))
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -950,6 +1061,50 @@ LANGEVIN_ESCAPE_DIGEST = "d9952d4138dcd0e526e5f51f626d5b962ef39633fc1d35eaeae0a8
 def test_langevin_escape_result_digest_is_pinned(tmp_path):
     experiments.run_experiment(parse_config("kramers-sweep", dict(LANGEVIN_ESCAPE_RAW)), str(tmp_path))
     assert _result_digest(tmp_path) == LANGEVIN_ESCAPE_DIGEST
+
+
+# The sgd-label-sweep and fullbatch-structure benchmark workloads' configs
+# and their pinned digests (seeds 5 and 1).  The CLI runs them with the BLAS
+# thread variables unset: it must pin numpy's OpenBLAS itself, or on a
+# multi-core machine eigvalsh changes the last bits of the results.
+_BENCH_MLP = {"family": "mlp-1-hidden", "input_dim": 3, "n_classes": 4, "hidden": 50, "activation": "tanh"}
+SGD_LABEL_SWEEP_RAW = {
+    "seed": 5,
+    "model": _BENCH_MLP,
+    "data": {"n_samples": 100, "separation": 2.5},
+    "corruption_grid": [0.0, 0.25, 0.5],
+    "beta": 0.02,
+    "prior_scale2": 1.0,
+    "trainer": {"step_size": 0.3, "max_iters": 1000, "grad_tol": 1e-6, "init_scale": 0.1},
+    "sgd": {"eta": 0.1, "batch_size": 10, "max_steps": 50000},
+    "n_runs": 4,
+    "threshold_extra": 0.1,
+}
+FULLBATCH_STRUCTURE_RAW = {
+    "seed": 1,
+    "model": _BENCH_MLP,
+    "data": {"n_samples": 800, "separation": 2.5},
+    "corruption": 0.25,
+    "beta_grid": [1.0, 0.1, 0.02, 0.005],
+    "prior_scale2": 1.0,
+    "trainer": {"step_size": 0.3, "max_iters": 2000, "grad_tol": 1e-6, "init_scale": 0.1},
+}
+
+
+@pytest.mark.parametrize("kind, raw, digest", [
+    ("label-sweep", SGD_LABEL_SWEEP_RAW, "593bbb7b8415b9743c36bf27d2f8800ccdda96407075bea67f64f520fcb117a9"),
+    ("structure-curve", FULLBATCH_STRUCTURE_RAW, "d2b63df929057dfd5cbfab39fd3afe4660da4f4805c6e2f5eb52e1f1db4e7318"),
+], ids=["sgd-label-sweep", "fullbatch-structure"])
+def test_cli_reproduces_pinned_digests_with_blas_threads_unset(tmp_path, kind, raw, digest):
+    src = os.path.dirname(os.path.dirname(reachlab.__file__))
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    cfg = _write_json(tmp_path / "cfg.json", raw)
+    subprocess.run(
+        [sys.executable, "-m", "reachlab.harness.cli", kind, "--config", cfg, "--out", str(tmp_path / "out")],
+        env=dict(env, PYTHONPATH=src), capture_output=True, check=True, timeout=300,
+    )
+    assert _result_digest(tmp_path / "out") == digest
 
 
 def test_cli_rejects_a_start_inside_the_target(tmp_path, capsys):

@@ -356,3 +356,23 @@ def test_check_point_rejects_bad_shapes():
         pot.value(np.array([1.0]))
     with pytest.raises(ContractError):
         pot.value(np.array([np.nan, 0.0]))
+
+
+_COEFF = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(_COEFF, min_size=1, max_size=8),
+    st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=20),
+    st.integers(0, 9),
+)
+def test_polynomial_helpers_match_numpy_polynomial_bitwise(coeffs, xs, m):
+    # the oracle is imported here only: reachlab itself never loads numpy.polynomial
+    from numpy.polynomial import polynomial as P
+
+    c, x = np.array(coeffs), np.array(xs)
+    d = landscape._polyder(c, m)
+    assert d.tobytes() == P.polyder(c, m).tobytes()
+    assert landscape._polyval(x, d).tobytes() == P.polyval(x, d).tobytes()
+    assert landscape._polyval(x, c).tobytes() == P.polyval(x, c).tobytes()
