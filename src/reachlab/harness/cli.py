@@ -29,7 +29,7 @@ from ..errors import (
     SimulationError,
     TrainingDivergedError,
 )
-from .io import canonical_json
+from .io import canonical_json, write_atomic
 
 _RUNTIME_ERRORS = (
     ContractError,
@@ -129,10 +129,9 @@ def main(argv=None):
         bundle = run_experiment(cfg, args.out, workers=args.workers)
     except _RUNTIME_ERRORS as exc:
         os.makedirs(args.out, exist_ok=True)
-        # serialized first: a note that cannot be written leaves no empty file
+        # serialized before its file opens, and renamed into place once whole
         note = canonical_json({"kind": cfg.kind, "config": cfg.snapshot(), "error": str(exc)})
-        with open(os.path.join(args.out, "aborted.json"), "w") as fh:
-            fh.write(note)
+        write_atomic(os.path.join(args.out, "aborted.json"), note)
         print(f"error: experiment failed: {exc}", file=sys.stderr)
         return 3
     n_flagged = len(bundle.flags)

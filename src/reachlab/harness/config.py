@@ -6,17 +6,22 @@ a default.  Parsed configs are plain JSON-compatible dicts with the
 defaults filled in, so a config snapshot embedded in a result bundle
 round-trips through this parser unchanged.
 
-Each sub-object builder imports the science module that owns its
-dataclass, so parsing a config loads only what its kind runs.
+One mechanism checks every key: ``_fields`` types the top level, the
+``data`` object and each task spec against their schemas, and applies
+the one bound ``_BOUNDS`` states for each key name.  The model, trainer
+and SGD objects are checked by the dataclasses that own them
+(``_build``), and ``_cross_validate`` keeps only the checks that relate
+keys to each other.  Each builder imports the science module that owns
+its dataclass, so parsing a config loads only what its kind runs.
 """
 
+import dataclasses
 import math
-from dataclasses import dataclass
 
 from ..errors import ConfigError, ContractError
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """A validated experiment: kind, global seed, normalized parameters."""
 
@@ -29,11 +34,13 @@ class ExperimentConfig:
         return {"kind": self.kind, "seed": self.seed, **self.params}
 
 
-@dataclass(frozen=True)
+_REQUIRED = object()  # the default of a key the config must give
+
+
+@dataclasses.dataclass(frozen=True)
 class _Field:
-    check: str  # int | float | str | bool | floats | ints | dict | dicts
-    required: bool = True
-    default: object = None
+    check: object  # a _TYPES name, a nested object's schema, or [either] for a list
+    default: object = _REQUIRED
     min_len: int = 0
 
 
@@ -45,162 +52,122 @@ def _is_num(v):
     return _is_int(v) or isinstance(v, float)
 
 
-def _check_finite(kind, path, v):
+_TYPES = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_num, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+}
+
+
+def _at_least(n):
+    return (lambda v: v >= n), f">= {n}"
+
+
+_POSITIVE = (lambda v: v > 0), "positive"
+_UNIT = (lambda v: 0.0 <= v <= 1.0), "in [0, 1]"
+
+# One bound per key name, wherever a kind or object declares the key; a
+# list key bounds each entry.
+_BOUNDS = {
+    **dict.fromkeys(
+        ("radius", "dt", "d_grid", "duration", "D", "beta", "beta_grid", "prior_scale2",
+         "threshold_extra", "eta", "separation"),
+        _POSITIVE,
+    ),
+    **dict.fromkeys(("corruption", "corruption_grid"), _UNIT),
+    **dict.fromkeys(("max_steps", "n_runs", "maxiter", "n_samples", "batch_grid"), _at_least(1)),
+    "noise_draws": _at_least(2),
+    "n_knots": _at_least(3),
+    "keep_classes": _at_least(0),
+    "label": (bool, "nonempty"),
+}
+
+
+def _check_finite(where, v):
     """Reject NaN and +-Infinity anywhere in ``v``.
 
     JSON has neither, but ``json.load`` accepts both; a non-finite
     number would pass range checks like ``D <= 0`` and fail mid-run.
     """
     if isinstance(v, float) and not math.isfinite(v):
-        raise ConfigError(f"{kind}: {path} must be a finite number, got {v!r}")
+        raise ConfigError(f"{where} must be a finite number, got {v!r}")
     if isinstance(v, dict):
         for k, x in v.items():
-            _check_finite(kind, f"{path}.{k}", x)
+            _check_finite(f"{where}.{k}", x)
     elif isinstance(v, list):
         for i, x in enumerate(v):
-            _check_finite(kind, f"{path}[{i}]", x)
+            _check_finite(f"{where}[{i}]", x)
 
 
-def _coerce(kind, key, f, v):
-    where = f"{kind}: key {key!r}"
-    if f.check == "int":
-        if not _is_int(v):
-            raise ConfigError(f"{where} must be an integer, got {v!r}")
-        return v
-    if f.check == "float":
-        if not _is_num(v):
-            raise ConfigError(f"{where} must be a number, got {v!r}")
-        return float(v)
-    if f.check == "str":
-        if not isinstance(v, str):
-            raise ConfigError(f"{where} must be a string, got {v!r}")
-        return v
-    if f.check == "bool":
-        if not isinstance(v, bool):
-            raise ConfigError(f"{where} must be a boolean, got {v!r}")
-        return v
-    if f.check in ("floats", "ints", "dicts"):
-        if not isinstance(v, list) or len(v) < f.min_len:
-            raise ConfigError(f"{where} must be a list with >= {f.min_len} entries")
-        if f.check == "floats":
-            if not all(_is_num(x) for x in v):
-                raise ConfigError(f"{where} must hold numbers only")
-            return [float(x) for x in v]
-        if f.check == "ints":
-            if not all(_is_int(x) for x in v):
-                raise ConfigError(f"{where} must hold integers only")
-            return list(v)
-        if not all(isinstance(x, dict) for x in v):
-            raise ConfigError(f"{where} must hold objects only")
-        return [dict(x) for x in v]
-    if f.check == "dict":
-        if not isinstance(v, dict):
-            raise ConfigError(f"{where} must be an object, got {type(v).__name__}")
-        return dict(v)
-    raise AssertionError(f"unknown field check {f.check!r}")
+def _value(where, key, check, v):
+    """One value of ``key`` in object ``where``, checked and normalized."""
+    if isinstance(check, dict):
+        return _fields(key, v, check)
+    is_type, what = _TYPES[check]
+    if not is_type(v):
+        raise ConfigError(f"{where}: {key} must be {what}, got {v!r}")
+    in_bounds, bound = _BOUNDS.get(key, (None, None))
+    if in_bounds is not None and not in_bounds(v):
+        raise ConfigError(f"{where}: {key} must be {bound}, got {v!r}")
+    return float(v) if check == "float" else dict(v) if check == "dict" else v
 
 
-# Sub-object key sets shared by several kinds.  The model declares the
-# label space and input width; blob data inherits both, so a config
-# cannot quietly describe a dataset its model can't score.
-_MODEL_KEYS = {"family", "input_dim", "n_classes", "weight_decay", "hidden", "activation"}
-_DATA_KEYS = {"n_samples", "separation"}
-_TRAINER_KEYS = {"step_size", "max_iters", "grad_tol", "init_scale"}
-_SGD_KEYS = {"eta", "batch_size", "max_steps"}
-_TASKSPEC_KEYS = {"label", "keep_classes", "corruption"}
+def _fields(where, raw, schema):
+    """Object ``raw`` checked against ``schema``, with its defaults filled in."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be an object, got {type(raw).__name__}")
+    unknown = set(raw) - set(schema)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    out = {}
+    for key, f in schema.items():
+        v = raw.get(key, f.default)
+        if v is _REQUIRED:
+            raise ConfigError(f"{where}: missing required key {key!r}")
+        if key not in raw or (v is None and f.default is None):  # null: a None default's snapshot
+            out[key] = dict(v) if isinstance(v, dict) else v  # a fresh {} per config
+        elif isinstance(f.check, list):
+            if not isinstance(v, list) or len(v) < f.min_len:
+                raise ConfigError(f"{where}: {key} must be a list with >= {f.min_len} entries")
+            out[key] = [_value(where, key, f.check[0], x) for x in v]
+        else:
+            out[key] = _value(where, key, f.check, v)
+    return out
+
+
+def _build(where, d, cls, **fixed):
+    """Dataclass ``cls`` from object ``d``; its fields not in ``fixed`` are the keys."""
+    fields = [f for f in dataclasses.fields(cls) if f.name not in fixed]
+    unknown = set(d) - {f.name for f in fields}
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = [f.name for f in fields if f.default is dataclasses.MISSING and f.name not in d]
+    if missing:
+        raise ConfigError(f"{where}: missing keys {missing}")
+    try:
+        return cls(**d, **fixed)
+    except ContractError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def build_model(d):
     from ..tasks import ModelSpec
 
-    if not isinstance(d, dict):
-        raise ConfigError("model must be an object")
-    extra = set(d) - _MODEL_KEYS
-    if extra:
-        raise ConfigError(f"model: unknown keys {sorted(extra)}")
-    try:
-        return ModelSpec(**d)
-    except (ContractError, TypeError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-
-def check_data(d):
-    if not isinstance(d, dict):
-        raise ConfigError("data must be an object")
-    extra = set(d) - _DATA_KEYS
-    if extra:
-        raise ConfigError(f"data: unknown keys {sorted(extra)}")
-    for k in _DATA_KEYS:
-        if k not in d:
-            raise ConfigError(f"data: missing key {k!r}")
-    if not _is_int(d["n_samples"]) or d["n_samples"] < 1:
-        raise ConfigError("data: n_samples must be a positive integer")
-    if not _is_num(d["separation"]) or d["separation"] <= 0:
-        raise ConfigError("data: separation must be positive")
-    return {"n_samples": d["n_samples"], "separation": float(d["separation"])}
+    return _build("model", d, ModelSpec)
 
 
 def build_trainer(d, seed):
     from ..complexity import TrainerConfig
 
-    if not isinstance(d, dict):
-        raise ConfigError("trainer must be an object")
-    extra = set(d) - _TRAINER_KEYS
-    if extra:
-        raise ConfigError(f"trainer: unknown keys {sorted(extra)}")
-    try:
-        return TrainerConfig(seed=seed, **d)
-    except (ContractError, TypeError) as exc:
-        raise ConfigError(f"trainer: {exc}") from exc
+    return _build("trainer", d, TrainerConfig, seed=seed)
 
 
-def build_sgd(d, batch_size=None):
+def build_sgd(d, **fixed):
     from ..diffusion import SGDConfig
 
-    if not isinstance(d, dict):
-        raise ConfigError("sgd must be an object")
-    keys = _SGD_KEYS - ({"batch_size"} if batch_size is not None else set())
-    extra = set(d) - keys
-    if extra:
-        raise ConfigError(f"sgd: unknown keys {sorted(extra)}")
-    missing = keys - set(d)
-    if missing:
-        raise ConfigError(f"sgd: missing keys {sorted(missing)}")
-    try:
-        if batch_size is not None:
-            return SGDConfig(batch_size=batch_size, **d)
-        return SGDConfig(**d)
-    except (ContractError, TypeError) as exc:
-        raise ConfigError(f"sgd: {exc}") from exc
-
-
-def check_taskspec(n_classes, spec):
-    if not isinstance(spec, dict):
-        raise ConfigError("task spec must be an object")
-    extra = set(spec) - _TASKSPEC_KEYS
-    if extra:
-        raise ConfigError(f"task spec: unknown keys {sorted(extra)}")
-    if "label" not in spec or not isinstance(spec["label"], str) or not spec["label"]:
-        raise ConfigError("task spec: needs a nonempty string 'label'")
-    out = {"label": spec["label"], "keep_classes": None, "corruption": 0.0}
-    if spec.get("keep_classes") is not None:  # null is the snapshot's "all classes"
-        ks = spec["keep_classes"]
-        if (
-            not isinstance(ks, list)
-            or not ks
-            or not all(_is_int(k) and 0 <= k < n_classes for k in ks)
-            or len(set(ks)) != len(ks)
-        ):
-            raise ConfigError(
-                f"task spec {spec['label']!r}: keep_classes must be distinct ints in [0, {n_classes})"
-            )
-        out["keep_classes"] = sorted(ks)
-    if "corruption" in spec:
-        rho = spec["corruption"]
-        if not _is_num(rho) or not 0.0 <= rho <= 1.0:
-            raise ConfigError(f"task spec {spec['label']!r}: corruption must lie in [0, 1]")
-        out["corruption"] = float(rho)
-    return out
+    return _build("sgd", d, SGDConfig, **fixed)
 
 
 def check_potential(d):
@@ -212,151 +179,106 @@ def check_potential(d):
         raise ConfigError(f"potential: {exc}") from exc
 
 
+# The model declares the label space and input width; blob data inherits
+# both, so a config cannot quietly describe a dataset its model can't score.
+_DATA = {"n_samples": _Field("int"), "separation": _Field("float")}
+_TASK_SPEC = {
+    "label": _Field("str"),
+    "keep_classes": _Field(["int"], None, min_len=1),  # None: all classes
+    "corruption": _Field("float", 0.0),
+}
+# the keys of every kind that trains a model on blob data
+_TASK_BASE = {"model": _Field("dict"), "data": _Field(_DATA), "trainer": _Field("dict", {})}
+# the keys label-sweep, complexity-scatter and finetune-matrix share
+_TASK_KEYS = {
+    **_TASK_BASE,
+    "beta": _Field("float"),
+    "prior_scale2": _Field("float"),
+    "sgd": _Field("dict"),
+    "n_runs": _Field("int", 20),
+    "threshold_extra": _Field("float", 0.1),
+}
+
 _SCHEMAS = {
     "kramers-sweep": {
         "potential": _Field("dict"),
-        "w0": _Field("floats", min_len=1),
-        "target": _Field("floats", min_len=1),
-        "radius": _Field("float", required=False, default=0.1),
-        "d_grid": _Field("floats", min_len=3),
+        "w0": _Field(["float"], min_len=1),
+        "target": _Field(["float"], min_len=1),
+        "radius": _Field("float", 0.1),
+        "d_grid": _Field(["float"], min_len=3),
         "dt": _Field("float"),
         "max_steps": _Field("int"),
-        "n_runs": _Field("int", required=False, default=500),
+        "n_runs": _Field("int", 500),
     },
-    "label-sweep": {
-        "model": _Field("dict"),
-        "data": _Field("dict"),
-        "corruption_grid": _Field("floats", min_len=3),
-        "beta": _Field("float"),
-        "prior_scale2": _Field("float"),
-        "trainer": _Field("dict", required=False, default={}),
-        "sgd": _Field("dict"),
-        "n_runs": _Field("int", required=False, default=20),
-        "threshold_extra": _Field("float", required=False, default=0.1),
-    },
+    "label-sweep": {**_TASK_KEYS, "corruption_grid": _Field(["float"], min_len=3)},
     "batch-sweep": {
-        "model": _Field("dict"),
-        "data": _Field("dict"),
-        "batch_grid": _Field("ints", min_len=3),
+        **_TASK_BASE,
+        "batch_grid": _Field(["int"], min_len=3),
         "eta": _Field("float"),
         "max_steps": _Field("int"),
-        "n_runs": _Field("int", required=False, default=20),
-        "noise_draws": _Field("int", required=False, default=2000),
-        "trainer": _Field("dict", required=False, default={}),
-        "threshold_extra": _Field("float", required=False, default=0.1),
+        "n_runs": _Field("int", 20),
+        "noise_draws": _Field("int", 2000),
+        "threshold_extra": _Field("float", 0.1),
     },
-    "complexity-scatter": {
-        "model": _Field("dict"),
-        "data": _Field("dict"),
-        "tasks": _Field("dicts", min_len=2),
-        "beta": _Field("float"),
-        "prior_scale2": _Field("float"),
-        "trainer": _Field("dict", required=False, default={}),
-        "sgd": _Field("dict"),
-        "n_runs": _Field("int", required=False, default=20),
-        "threshold_extra": _Field("float", required=False, default=0.1),
-    },
-    "finetune-matrix": {
-        "model": _Field("dict"),
-        "data": _Field("dict"),
-        "tasks": _Field("dicts", min_len=2),
-        "beta": _Field("float"),
-        "prior_scale2": _Field("float"),
-        "trainer": _Field("dict", required=False, default={}),
-        "sgd": _Field("dict"),
-        "n_runs": _Field("int", required=False, default=20),
-        "threshold_extra": _Field("float", required=False, default=0.1),
-    },
+    "complexity-scatter": {**_TASK_KEYS, "tasks": _Field([_TASK_SPEC], min_len=2)},
+    "finetune-matrix": {**_TASK_KEYS, "tasks": _Field([_TASK_SPEC], min_len=2)},
     "structure-curve": {
-        "model": _Field("dict"),
-        "data": _Field("dict"),
-        "corruption": _Field("float", required=False, default=0.0),
-        "beta_grid": _Field("floats", min_len=2),
+        **_TASK_BASE,
+        "corruption": _Field("float", 0.0),
+        "beta_grid": _Field(["float"], min_len=2),
         "prior_scale2": _Field("float"),
-        "trainer": _Field("dict", required=False, default={}),
     },
     "action-check": {
         "potential": _Field("dict"),
-        "start": _Field("floats", min_len=1),
-        "end": _Field("floats", min_len=1),
+        "start": _Field(["float"], min_len=1),
+        "end": _Field(["float"], min_len=1),
         "duration": _Field("float"),
         "n_knots": _Field("int"),
         "D": _Field("float"),
-        "optimize": _Field("bool", required=False, default=True),
-        "maxiter": _Field("int", required=False, default=1500),
+        "optimize": _Field("bool", True),
+        "maxiter": _Field("int", 1500),
     },
 }
 
 KINDS = tuple(_SCHEMAS)
 
 
-def _cross_validate(kind, seed, p):
-    """Kind-specific consistency checks beyond per-field typing."""
-    if kind == "kramers-sweep":
-        pot = check_potential(p["potential"])
-        if len(p["w0"]) != pot.dim or len(p["target"]) != pot.dim:
-            raise ConfigError(f"w0/target must have the potential's dimension ({pot.dim})")
-        if p["radius"] <= 0 or p["dt"] <= 0:
-            raise ConfigError("radius and dt must be positive")
+def _cross_validate(seed, p):
+    """The checks that relate keys to each other, and the nested builds."""
+    if "potential" in p:
+        dim = check_potential(p["potential"]).dim
+        a, b = ("w0", "target") if "w0" in p else ("start", "end")
+        if len(p[a]) != dim or len(p[b]) != dim:
+            raise ConfigError(f"{a}/{b} must have the potential's dimension ({dim})")
+    if "w0" in p:
         if sum((a - b) ** 2 for a, b in zip(p["w0"], p["target"])) <= p["radius"] ** 2:
             raise ConfigError("w0 lies inside the target ball; every passage time would be 0")
-        if any(d <= 0 for d in p["d_grid"]) or len(set(p["d_grid"])) < 3:
-            raise ConfigError("d_grid needs >= 3 distinct positive values")
-        if p["max_steps"] < 1 or p["n_runs"] < 1:
-            raise ConfigError("max_steps and n_runs must be >= 1")
-        return
-    if kind == "action-check":
-        pot = check_potential(p["potential"])
-        if len(p["start"]) != pot.dim or len(p["end"]) != pot.dim:
-            raise ConfigError(f"start/end must have the potential's dimension ({pot.dim})")
-        if p["duration"] <= 0 or p["D"] <= 0:
-            raise ConfigError("duration and D must be positive")
-        if p["n_knots"] < 3:
-            raise ConfigError("n_knots must be >= 3")
-        if p["maxiter"] < 1:
-            raise ConfigError("maxiter must be >= 1")
-        return
-
-    model = build_model(p["model"])
-    p["data"] = check_data(p["data"])
-    build_trainer(p["trainer"], seed)
-    if kind == "structure-curve":
-        bg = p["beta_grid"]
-        if any(b <= 0 for b in bg) or any(a <= b for a, b in zip(bg, bg[1:])):
-            raise ConfigError("beta_grid must be positive and strictly descending")
-        if not 0.0 <= p["corruption"] <= 1.0:
-            raise ConfigError("corruption must lie in [0, 1]")
-    elif kind == "batch-sweep":
-        if any(b < 1 for b in p["batch_grid"]):
-            raise ConfigError("batch sizes must be >= 1")
-        if any(b > p["data"]["n_samples"] for b in p["batch_grid"]):
-            raise ConfigError("batch sizes cannot exceed n_samples")
-        if p["eta"] <= 0 or p["max_steps"] < 1 or p["noise_draws"] < 2:
-            raise ConfigError("need eta > 0, max_steps >= 1, noise_draws >= 2")
-        build_sgd({"eta": p["eta"], "max_steps": p["max_steps"]}, batch_size=1)
-    else:
+        if len(set(p["d_grid"])) < 3:
+            raise ConfigError("d_grid needs >= 3 distinct values")
+    if "model" in p:
+        n_classes = build_model(p["model"]).n_classes
+        build_trainer(p["trainer"], seed)
+    if "sgd" in p:
         build_sgd(p["sgd"])
-    if kind == "label-sweep":
-        grid = p["corruption_grid"]
-        if any(not 0.0 <= r <= 1.0 for r in grid):
-            raise ConfigError("corruption_grid must lie inside [0, 1]")
-        if len(set(grid)) != len(grid):
-            raise ConfigError("corruption_grid values must be distinct")
-    if kind in ("complexity-scatter", "finetune-matrix"):
-        specs = [check_taskspec(model.n_classes, s) for s in p["tasks"]]
-        labels = [s["label"] for s in specs]
-        if len(set(labels)) != len(labels):
-            raise ConfigError("task labels must be distinct")
-        p["tasks"] = specs
-    if kind in ("label-sweep", "complexity-scatter", "finetune-matrix"):
-        if p["beta"] <= 0 or p["prior_scale2"] <= 0:
-            raise ConfigError("beta and prior_scale2 must be positive")
-        if p["threshold_extra"] <= 0:
-            raise ConfigError("threshold_extra must be positive")
-        if p["n_runs"] < 1:
-            raise ConfigError("n_runs must be >= 1")
-    if kind == "structure-curve" and p["prior_scale2"] <= 0:
-        raise ConfigError("prior_scale2 must be positive")
+    bg = p.get("beta_grid", ())
+    if any(a <= b for a, b in zip(bg, bg[1:])):
+        raise ConfigError("beta_grid must be strictly descending")
+    if any(b > p["data"]["n_samples"] for b in p.get("batch_grid", ())):
+        raise ConfigError("batch sizes cannot exceed n_samples")
+    grid = p.get("corruption_grid", ())
+    if len(set(grid)) != len(grid):
+        raise ConfigError("corruption_grid values must be distinct")
+    specs = p.get("tasks", ())
+    for s in specs:
+        ks = s["keep_classes"]
+        if ks is not None:
+            if max(ks) >= n_classes or len(set(ks)) != len(ks):
+                raise ConfigError(
+                    f"task spec {s['label']!r}: keep_classes must be distinct ints in [0, {n_classes})"
+                )
+            s["keep_classes"] = sorted(ks)
+    if len({s["label"] for s in specs}) != len(specs):
+        raise ConfigError("task labels must be distinct")
 
 
 def parse_config(kind, raw, seed_override=None):
@@ -378,19 +300,8 @@ def parse_config(kind, raw, seed_override=None):
         seed = seed_override
     if not _is_int(seed) or seed < 0:
         raise ConfigError("a non-negative integer seed is required (config key or --seed)")
-
-    schema = _SCHEMAS[kind]
-    unknown = set(raw) - set(schema)
-    if unknown:
-        raise ConfigError(f"{kind}: unknown keys {sorted(unknown)}")
-    params = {}
-    for key, f in schema.items():
-        if key in raw:
-            _check_finite(kind, key, raw[key])
-            params[key] = _coerce(kind, key, f, raw[key])
-        elif f.required:
-            raise ConfigError(f"{kind}: missing required key {key!r}")
-        else:
-            params[key] = f.default if not isinstance(f.default, dict) else dict(f.default)
-    _cross_validate(kind, seed, params)
+    for key, v in raw.items():
+        _check_finite(f"{kind}: {key}", v)
+    params = _fields(kind, raw, _SCHEMAS[kind])
+    _cross_validate(seed, params)
     return ExperimentConfig(kind, seed, params)

@@ -467,11 +467,13 @@ def _finetune_cell(args):
 
     An ensemble in which no run converges is the analogue of an
     unreachable fine-tuning target, so it is recorded as a fully
-    censored cell rather than treated as an error.
+    censored cell rather than treated as an error.  The record is
+    checkpointed as the cell finishes, so a run that aborts keeps every
+    cell it finished.
     """
     from .. import tasks
 
-    params, seed, i, j, w_start, threshold = args
+    params, seed, i, j, w_start, threshold, ck_dir, cfg_hash = args
     model, data = _spec_dataset(params, seed, j)
     task = tasks.Task(data, model)
     rec = {
@@ -492,11 +494,11 @@ def _finetune_cell(args):
             _sub_seed(seed, _CELL, i, j),
         )
     except SimulationError:
-        return rec
-    rec.update(
-        median_time=st.median,
-        mean_time=st.mean,
-        n_censored=st.n_censored,
+        pass
+    else:
+        rec.update(median_time=st.median, mean_time=st.mean, n_censored=st.n_censored)
+    write_atomic(
+        _checkpoint_path(ck_dir, i, j), canonical_json({"config_sha256": cfg_hash, "record": rec})
     )
     return rec
 
@@ -550,7 +552,7 @@ def _finetune_matrix(cfg, out_dir, workers):
         [
             (
                 f"cell:{labels[i]}->{labels[j]}",
-                (params, seed, i, j, preps[i]["w_min"], preps[j]["threshold"]),
+                (params, seed, i, j, preps[i]["w_min"], preps[j]["threshold"], ck_dir, cfg_hash),
             )
             for i, j in todo
         ],
@@ -560,9 +562,6 @@ def _finetune_matrix(cfg, out_dir, workers):
     for res in done:
         i, j = labels.index(res["from"]), labels.index(res["to"])
         cells[(i, j)] = res
-        write_atomic(
-            _checkpoint_path(ck_dir, i, j), canonical_json({"config_sha256": cfg_hash, "record": res})
-        )
 
     records = [cells[(i, j)] for i in range(n) for j in range(n) if (i, j) in cells]
     times = [

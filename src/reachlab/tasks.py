@@ -1,8 +1,9 @@
 """Synthetic classification tasks and the small model families fit to them.
 
-A dataset is (inputs, integer labels, label-space size) plus a provenance
-dict that fully determines its contents: regenerating from provenance is
-bit-identical, which is what makes experiment bundles reproducible.  Two
+A dataset is (inputs, integer labels, label-space size).  Every
+constructor here is a pure function of its arguments and seed, so an
+experiment rebuilds the same datasets from its config and seed; that,
+not anything stored on the dataset, is what makes bundles reproduce.  Two
 model families are supported, both with softmax heads over n_classes - 1
 free logit rows (the first class is the pinned reference, so the binary
 case reduces to plain logistic regression):
@@ -15,7 +16,7 @@ requires.  Losses are mean cross-entropy plus (weight_decay / 2) |w|^2;
 per-sample gradients omit the decay term.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +32,6 @@ class Dataset:
     inputs: np.ndarray        # (n, input_dim) float64
     labels: np.ndarray        # (n,) int64 in [0, n_classes)
     n_classes: int
-    provenance: dict = field(compare=False)
 
     def __post_init__(self):
         X = np.ascontiguousarray(np.asarray(self.inputs, dtype=float))
@@ -97,26 +97,18 @@ def generate_blobs(n_classes, n_samples, input_dim, separation, seed):
     for k in range(n_classes):
         xs.append(centers[k] + rng.standard_normal((counts[k], input_dim)))
         ys.append(np.full(counts[k], k, dtype=np.int64))
-    prov = {
-        "kind": "blobs",
-        "n_classes": int(n_classes),
-        "n_samples": int(n_samples),
-        "input_dim": int(input_dim),
-        "separation": float(separation),
-        "seed": int(seed),
-    }
-    return Dataset(np.vstack(xs), np.concatenate(ys), n_classes, prov)
+    return Dataset(np.vstack(xs), np.concatenate(ys), n_classes)
 
 
 def corrupt_labels(d, rho, seed):
     """Resample floor(rho * n) labels uniformly over the label space.
 
     A resampled label may coincide with the original, so the expected
-    disagreement is rho * (1 - 1/K).  rho=0 returns an identical copy
-    (fresh provenance).  The corrupted rows are a seeded-permutation
-    prefix, so sweeps that share one seed across a rho grid get nested
-    corruptions: every row corrupted at rho1 stays corrupted, with the
-    same replacement label, at any rho2 > rho1.
+    disagreement is rho * (1 - 1/K).  rho=0 returns an identical copy.
+    The corrupted rows are a seeded-permutation prefix, so sweeps that
+    share one seed across a rho grid get nested corruptions: every row
+    corrupted at rho1 stays corrupted, with the same replacement label,
+    at any rho2 > rho1.
     """
     if not 0.0 <= rho <= 1.0:
         raise ContractError("rho must lie in [0, 1]")
@@ -126,8 +118,7 @@ def corrupt_labels(d, rho, seed):
     replacements = rng.integers(0, d.n_classes, size=d.n)
     labels = d.labels.copy()
     labels[order[:m]] = replacements[:m]
-    prov = {"kind": "corrupt_labels", "rho": float(rho), "seed": int(seed), "base": d.provenance}
-    return Dataset(d.inputs.copy(), labels, d.n_classes, prov)
+    return Dataset(d.inputs.copy(), labels, d.n_classes)
 
 
 def concat(d1, d2, n_classes=None):
@@ -142,12 +133,8 @@ def concat(d1, d2, n_classes=None):
     K = int(n_classes) if n_classes is not None else max(d1.n_classes, d2.n_classes)
     if K < max(d1.n_classes, d2.n_classes):
         raise ContractError("declared n_classes smaller than a part's label space")
-    prov = {"kind": "concat", "n_classes": K, "parts": [d1.provenance, d2.provenance]}
     return Dataset(
-        np.vstack([d1.inputs, d2.inputs]),
-        np.concatenate([d1.labels, d2.labels]),
-        K,
-        prov,
+        np.vstack([d1.inputs, d2.inputs]), np.concatenate([d1.labels, d2.labels]), K
     )
 
 
@@ -161,35 +148,7 @@ def subset_classes(d, keep):
     if not keep or any(k < 0 or k >= d.n_classes for k in keep):
         raise ContractError(f"keep must be a nonempty subset of [0, {d.n_classes})")
     mask = np.isin(d.labels, keep)
-    prov = {"kind": "subset_classes", "keep": keep, "base": d.provenance}
-    return Dataset(d.inputs[mask], d.labels[mask], d.n_classes, prov)
-
-
-def empty(input_dim, n_classes):
-    """Zero-row dataset; the identity element of ``concat``."""
-    prov = {"kind": "empty", "input_dim": int(input_dim), "n_classes": int(n_classes)}
-    return Dataset(np.zeros((0, input_dim)), np.zeros(0, dtype=np.int64), n_classes, prov)
-
-
-def from_provenance(prov):
-    """Rebuild a dataset from its provenance dict, bit-identically."""
-    kind = prov.get("kind")
-    if kind == "blobs":
-        return generate_blobs(
-            prov["n_classes"], prov["n_samples"], prov["input_dim"],
-            prov["separation"], prov["seed"],
-        )
-    if kind == "corrupt_labels":
-        return corrupt_labels(from_provenance(prov["base"]), prov["rho"], prov["seed"])
-    if kind == "concat":
-        d1 = from_provenance(prov["parts"][0])
-        d2 = from_provenance(prov["parts"][1])
-        return concat(d1, d2, n_classes=prov["n_classes"])
-    if kind == "subset_classes":
-        return subset_classes(from_provenance(prov["base"]), prov["keep"])
-    if kind == "empty":
-        return empty(prov["input_dim"], prov["n_classes"])
-    raise ContractError(f"unknown provenance kind {kind!r}")
+    return Dataset(d.inputs[mask], d.labels[mask], d.n_classes)
 
 
 # -- model families ----------------------------------------------------------

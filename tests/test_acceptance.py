@@ -343,7 +343,7 @@ def test_criterion_08_information_geometry():
     )
 
     # zero inputs: cross-entropy log 2 at any weight, zero curvature, zero norm
-    zero_in = tasks.Dataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]), 2, {"kind": "raw"})
+    zero_in = tasks.Dataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]), 2)
     tz = tasks.Task(zero_in, tasks.ModelSpec("multinomial-logistic", 1, 2))
     rep0 = complexity.c_beta(tz, np.zeros(1), 1.0, 1.0)
     rep1 = complexity.c_beta_from_parts(0.5, np.ones(1), np.array([[0.5]]), 1.0, 1.0)
@@ -356,7 +356,7 @@ def test_criterion_08_information_geometry():
     _verdict(
         8,
         ok,
-        f"self-KL {kl_self!r} (must be exactly 0.0), KL/quadratic ratio {ratio:.6f} "
+        f"self-KL {float(kl_self)!r} (must be exactly 0.0), KL/quadratic ratio {ratio:.6f} "
         f"(gate 1 +- 5% at eps 1e-3), tabulated covariance error {s_err:.2e} and "
         f"complexity error {c_err:.2e} (gate 1e-10)",
     )

@@ -88,8 +88,7 @@ def test_posterior_rejects_mismatched_and_asymmetric_inputs():
 
 def test_fisher_constant_input_closed_form():
     # K=2 logistic with every input 1: F(0) = E[x^2 p(1-p)] = 1/4 exactly
-    data = tasks.Dataset(np.ones((7, 1)), np.array([0, 1, 0, 1, 0, 1, 0]), 2,
-                         {"kind": "raw"})
+    data = tasks.Dataset(np.ones((7, 1)), np.array([0, 1, 0, 1, 0, 1, 0]), 2)
     t = tasks.Task(data, tasks.ModelSpec("multinomial-logistic", 1, 2))
     F = fisher(t, np.zeros(1))
     assert F.shape == (1, 1)
@@ -149,7 +148,7 @@ def test_fisher_matches_kl_quadratic_expansion():
 def test_fisher_rejects_empty_dataset():
     d = tasks.generate_blobs(2, 30, 1, 3.0, seed=1)
     empty = tasks.subset_classes(d, [0])
-    empty = tasks.Dataset(empty.inputs[:0], empty.labels[:0], 2, {"kind": "raw"})
+    empty = tasks.Dataset(empty.inputs[:0], empty.labels[:0], 2)
     t = tasks.Task(empty, tasks.ModelSpec("multinomial-logistic", 1, 2))
     with pytest.raises(ContractError):
         fisher(t, np.zeros(1))

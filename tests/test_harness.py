@@ -1,8 +1,10 @@
 """Config parsing, CLI exit codes, CSV schemas, runners, checkpoints, determinism."""
 
+import copy
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -326,6 +328,39 @@ def test_parse_rejects_oversized_batches():
                 "max_steps": 100,
             },
         )
+
+
+# A value past each key's bound (positive, >= k or in [0, 1]); a grid gets
+# one bad entry.  A (object, key) pair is set inside that object, in the
+# first task spec for "tasks".
+_OUT_OF_BOUNDS = {
+    "radius": 0.0, "dt": -5e-3, "d_grid": [0.25, 0.3, -0.4], "max_steps": 0, "n_runs": 0,
+    "duration": 0.0, "D": -0.1, "n_knots": 2, "maxiter": 0,
+    "beta": 0.0, "beta_grid": [1.0, 0.0], "prior_scale2": -1.0, "threshold_extra": -1.0,
+    "corruption": 1.5, "corruption_grid": [0.0, 0.3, -0.1],
+    "batch_grid": [0, 8, 16], "eta": 0.0, "noise_draws": 1,
+    ("data", "n_samples"): 0, ("data", "separation"): -2.5,
+    ("tasks", "label"): "", ("tasks", "corruption"): -0.5, ("tasks", "keep_classes"): [-1, 0],
+}
+_BOUND_CASES = [
+    pytest.param(kind, key, id=f"{kind}-{'.'.join(key) if isinstance(key, tuple) else key}")
+    for kind, raw in MINI_RAW.items()
+    for key in _OUT_OF_BOUNDS
+    if (key[0] if isinstance(key, tuple) else key) in parse_config(kind, dict(raw)).params
+]
+
+
+@pytest.mark.parametrize("kind, key", _BOUND_CASES)
+def test_every_bound_a_kind_declares_is_checked_at_parse_time(kind, key):
+    raw = copy.deepcopy(MINI_RAW[kind])
+    if isinstance(key, tuple):
+        obj, name = key
+        (raw[obj][0] if obj == "tasks" else raw[obj])[name] = _OUT_OF_BOUNDS[key]
+    else:
+        name = key
+        raw[key] = _OUT_OF_BOUNDS[key]
+    with pytest.raises(ConfigError, match=re.escape(name)):
+        parse_config(kind, raw)
 
 
 def test_snapshot_reparses_to_the_same_config():
@@ -683,6 +718,27 @@ def test_finetune_truncated_checkpoint_is_recomputed(tmp_path):
     assert len(os.listdir(ck)) == 4  # no temporary files left behind
 
 
+def test_finetune_abort_keeps_the_cells_it_finished(tmp_path, monkeypatch):
+    cfg = parse_config("finetune-matrix", dict(FINETUNE_RAW))
+    out = tmp_path / "run"
+    real, calls = experiments.diffusion.convergence_time, []
+
+    def abort_on_the_third_cell(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("killed mid-sweep")
+        return real(*args)
+
+    monkeypatch.setattr(experiments.diffusion, "convergence_time", abort_on_the_third_cell)
+    with pytest.raises(RuntimeError, match="mid-sweep"):
+        experiments.run_experiment(cfg, str(out))
+    monkeypatch.undo()
+    assert sorted(os.listdir(out / "checkpoint")) == ["cell_0_0.json", "cell_0_1.json"]
+    b = experiments.run_experiment(cfg, str(out))
+    assert b.timing["cells_reused"] == 2
+    assert b.same_results(experiments.run_experiment(cfg, str(tmp_path / "fresh")))
+
+
 def test_bundles_are_deterministic_across_workers(tmp_path):
     # 3 workers deal the 4 points into uneven groups; D = 1e-4 censors, and
     # its flag keeps its key and text whichever group holds it
@@ -977,6 +1033,15 @@ def test_cli_rejects_mistyped_sub_object_fields_with_exit_two(tmp_path, capsys, 
     out = tmp_path / "out"
     assert cli_main(["label-sweep", "--config", cfgp, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {obj}: {key} must be")
+    assert not out.exists()
+
+
+def test_cli_rejects_an_out_of_bounds_run_count_with_exit_two(tmp_path, capsys):
+    # n_runs = 0 used to pass the parser and flag every batch-sweep cell
+    cfgp = _write_json(tmp_path / "cfg.json", dict(BATCH_RAW, n_runs=0))
+    out = tmp_path / "out"
+    assert cli_main(["batch-sweep", "--config", cfgp, "--out", str(out)]) == 2
+    assert "n_runs" in capsys.readouterr().err
     assert not out.exists()
 
 
