@@ -17,7 +17,7 @@ each term evaluated at its own trained posterior mean; it is asymmetric
 by construction.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -82,6 +82,10 @@ def gaussian_kl(q, lambda2):
     return 0.5 * (m2 / lambda2 + (tr / lambda2 - k) + (k * np.log(lambda2) - logdet))
 
 
+# bytes in one block of the MLP's first-layer Jacobian, under the CLI's 1 MiB mmap threshold
+_BLOCK_BYTES = 1_000_000
+
+
 def fisher(task, w):
     """Expected curvature F(w) = E_data E_{y ~ p_w} [ grad log p grad log p^T ].
 
@@ -89,17 +93,50 @@ def fisher(task, w):
     posterior (no label sampling), so F is symmetric PSD and deterministic
     in (task, w).  For the linear-logit family it coincides with the exact
     Hessian of the mean cross-entropy.
+
+    F = E_n[J^T Lam J] (J the logit Jacobian, Lam the softmax covariance)
+    is filled by blocks: J's output-layer part delta_kl phi is never built,
+    its MLP first-layer part is built a few hidden units at a time.  Each
+    entry is the dense einsum's sum, in its (sample, class) order, less the
+    terms with an exact-zero Jacobian factor.  Those are +-0 for finite
+    inputs; they change no bit of a nonzero sum and cannot make a +0 sum -0.
     """
-    P = tasks.posterior_probs(task, w)
-    J = tasks.logit_jacobians(task, w)
-    n, K1 = J.shape[0], J.shape[1]
-    if n == 0:
-        raise ContractError("Fisher of an empty dataset")
-    Pk = P[:, 1:]
+    w = tasks._check_w(task.model, w)
+    if task.data.n == 0 or not np.all(np.isfinite(w)):
+        raise ContractError("Fisher needs a nonempty dataset and finite weights")
+    model, X, n = task.model, task.data.inputs, task.data.n
+    Pk = tasks.posterior_probs(task, w)[:, 1:]
+    K1 = Pk.shape[1]
     # softmax covariance restricted to the free logits: diag(p) - p p^T
     Lam = Pk[:, :, None] * np.eye(K1)[None] - Pk[:, :, None] * Pk[:, None, :]
-    M = np.einsum("nab,nbd->nad", Lam, J)
-    F = np.einsum("nad,nae->de", J, M) / n
+    F = np.empty((model.n_params, model.n_params))
+    Phi, off, units = X, 0, []  # output-layer features and offset; first-layer blocks
+    if model.family == "mlp-1-hidden":
+        h, p = model.hidden, model.input_dim
+        W2, Phi, dA1 = (a[0] for a in tasks._forward(model, w[None], X)[1])
+        off, step = h * p, max(1, _BLOCK_BYTES // (8 * n * K1 * p))
+        units = [slice(j, min(j + step, h)) for j in range(0, h, step)]
+
+        def J1(u):  # dz_k/dW1[j,:] = W2[k,j] phi'(z1_j) x, for the hidden units j in u
+            G = W2[:, u] * dA1[:, None, u]
+            J = np.empty(G.shape + (p,))
+            for q in range(p):  # a whole (n, K-1, units) plane per multiply
+                np.multiply(G, X[:, q, None, None], out=J[..., q])
+            return J.reshape(n, K1, -1)
+
+    d = Phi.shape[1]
+
+    def fill(c, M):  # the columns c of n F, from M = (Lam J)[:, :, c]
+        for k in range(K1):  # output-layer rows: J = delta_kl phi
+            F[off + k * d: off + (k + 1) * d, c] = np.einsum("nd,ne->de", Phi, M[:, k])
+        for u in units:
+            F[u.start * p: u.stop * p, c] = np.einsum("nad,nae->de", J1(u), M)
+
+    for u in units:
+        fill(slice(u.start * p, u.stop * p), np.einsum("nab,nbd->nad", Lam, J1(u)))
+    for l in range(K1):
+        fill(slice(off + l * d, off + (l + 1) * d), Lam[:, :, l, None] * Phi[:, None, :])
+    F /= n
     return 0.5 * (F + F.T)
 
 
@@ -134,14 +171,7 @@ class ComplexityReport:
     total: float
 
     def to_dict(self):
-        return {
-            "beta": self.beta,
-            "lambda2": self.lambda2,
-            "loss_term": self.loss_term,
-            "norm_term": self.norm_term,
-            "logdet_term": self.logdet_term,
-            "total": self.total,
-        }
+        return asdict(self)
 
 
 def c_beta_from_parts(loss_value, w0, F, beta, lambda2):

@@ -3,7 +3,7 @@
 import datetime
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .io import canonical_json, write_atomic
 
@@ -26,15 +26,7 @@ class ResultBundle:
     timing: dict = field(default_factory=dict)
 
     def to_dict(self):
-        return {
-            "kind": self.kind,
-            "config": self.config,
-            "tool_version": self.tool_version,
-            "records": self.records,
-            "summary": self.summary,
-            "flags": self.flags,
-            "timing": self.timing,
-        }
+        return asdict(self)
 
     def result_fields(self):
         d = self.to_dict()

@@ -69,8 +69,8 @@ def _pin_heap():
     Fisher blocks at 300 parameters).  Under glibc's default thresholds
     these are mmapped, or the heap top is trimmed after them, so every
     call faults their pages back in.  Allocations under 1 MiB come
-    from the heap, and up to 4 MiB of free heap top is kept.  Larger
-    arrays (the 2.9 MB and 5.8 MB Jacobian blocks at n = 800) are still
+    from the heap (the Fisher's Jacobian blocks are sized to fit), and
+    up to 4 MiB of free heap top is kept.  Larger arrays are still
     mmapped and returned when freed.  Returns whether both settings
     took; without glibc's ``mallopt`` nothing changes.
     """

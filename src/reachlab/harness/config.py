@@ -256,7 +256,12 @@ def _cross_validate(seed, p):
         if len(set(p["d_grid"])) < 3:
             raise ConfigError("d_grid needs >= 3 distinct values")
     if "model" in p:
-        n_classes = build_model(p["model"]).n_classes
+        model = build_model(p["model"])
+        n_classes, dim, n = model.n_classes, model.input_dim, p["data"]["n_samples"]
+        if n_classes > dim + 1:  # blob centers sit on a regular simplex
+            raise ConfigError(f"model: {n_classes} classes need input_dim >= {n_classes - 1}, got {dim}")
+        if n < n_classes:  # and every class gets a sample
+            raise ConfigError(f"data: n_samples must be >= n_classes ({n_classes}), got {n}")
         build_trainer(p["trainer"], seed)
     if "sgd" in p:
         build_sgd(p["sgd"])

@@ -366,32 +366,31 @@ def effective_potential(p, w, D):
     return float(p.value(w) + D * logdet)
 
 
+# name -> (builder, the parameter keys it reads)
 _BUILTIN_NAMES = {
-    "quadratic": lambda cfg: Quadratic(cfg["a"]),
-    "double_well_1d": lambda cfg: DoubleWell1D(cfg.get("scale", 1.0)),
-    "polynomial_1d": lambda cfg: Polynomial1D(cfg["coeffs"]),
-    "channel_2d": lambda cfg: Channel2D(
-        from_config(cfg["a"]), from_config(cfg["b"]),
-        u_box=tuple(cfg.get("u_box", (-4.0, 4.0))),
-    ),
-}
-
-_BUILTIN_KEYS = {
-    "quadratic": {"name", "a"},
-    "double_well_1d": {"name", "scale"},
-    "polynomial_1d": {"name", "coeffs"},
-    "channel_2d": {"name", "a", "b", "u_box"},
+    "quadratic": (lambda cfg: Quadratic(cfg["a"]), {"a"}),
+    "double_well_1d": (lambda cfg: DoubleWell1D(cfg.get("scale", 1.0)), {"scale"}),
+    "polynomial_1d": (lambda cfg: Polynomial1D(cfg["coeffs"]), {"coeffs"}),
+    "channel_2d": (lambda cfg: Channel2D(
+        from_config(cfg["a"]), from_config(cfg["b"]), u_box=tuple(cfg.get("u_box", (-4.0, 4.0))),
+    ), {"a", "b", "u_box"}),
 }
 
 
 def from_config(cfg):
     """Build a built-in potential from a JSON-style dict (name + params)."""
-    if not isinstance(cfg, dict) or "name" not in cfg:
-        raise ContractError(f"potential config must be a dict with a 'name', got {cfg!r}")
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("name"), str):
+        raise ContractError(f"potential config must be a dict with a string 'name', got {cfg!r}")
     name = cfg["name"]
     if name not in _BUILTIN_NAMES:
         raise ContractError(f"unknown potential {name!r}; known: {sorted(_BUILTIN_NAMES)}")
-    extra = set(cfg) - _BUILTIN_KEYS[name]
+    build, keys = _BUILTIN_NAMES[name]
+    extra = set(cfg) - keys - {"name"}
     if extra:
         raise ContractError(f"unknown keys for potential {name!r}: {sorted(extra)}")
-    return _BUILTIN_NAMES[name](cfg)
+    try:
+        return build(cfg)
+    except ContractError:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError) as exc:  # missing or malformed
+        raise ContractError(f"potential {name!r}: bad or missing parameter ({exc!r})") from exc

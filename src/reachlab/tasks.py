@@ -389,31 +389,3 @@ def per_sample_grads(task, w):
     gW1 = np.einsum("nh,np->nhp", Dhid, X)
     return np.concatenate([gW1.reshape(n, -1), gW2.reshape(n, -1)], axis=1)
 
-
-def logit_jacobians(task, w, inputs=None):
-    """Per-sample Jacobian of the free logits, shape (n, K-1, n_params).
-
-    The expected-curvature computations contract these with the softmax
-    covariance; for the logistic family the Jacobian is just a Kronecker
-    stamp of x.
-    """
-    w = _check_w(task.model, w)
-    model = task.model
-    X = task.data.inputs if inputs is None else np.asarray(inputs, dtype=float)
-    n = X.shape[0]
-    K1 = model.n_classes - 1
-    d = model.n_params
-    if model.family == "multinomial-logistic":
-        J = np.zeros((n, K1, d))
-        p = model.input_dim
-        for k in range(K1):
-            J[:, k, k * p:(k + 1) * p] = X
-        return J
-    h, p = model.hidden, model.input_dim
-    W2, A1, dA1 = (a[0] for a in _forward(model, w[None], X)[1])
-    # dz_k/dW1[j,:] = W2[k,j] * phi'(z1_j) * x ; dz_k/dW2[l,:] = delta_kl * a1
-    J1 = np.einsum("kh,nh,np->nkhp", W2, dA1, X).reshape(n, K1, h * p)
-    J2 = np.zeros((n, K1, K1 * h))
-    for k in range(K1):
-        J2[:, k, k * h:(k + 1) * h] = A1
-    return np.concatenate([J1, J2], axis=2)

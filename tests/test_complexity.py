@@ -1,6 +1,7 @@
 """Gaussian complexity: KL identities, Fisher curvature, structure curves, distances."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -152,6 +153,94 @@ def test_fisher_rejects_empty_dataset():
     t = tasks.Task(empty, tasks.ModelSpec("multinomial-logistic", 1, 2))
     with pytest.raises(ContractError):
         fisher(t, np.zeros(1))
+
+
+def _dense_fisher(task, w):
+    """The Fisher the slow way: einsum(J, einsum(Lam, J)) over the whole
+    (n, K-1, P) Jacobian stack, exact zeros included."""
+    model, X = task.model, task.data.inputs
+    n, K1 = X.shape[0], model.n_classes - 1
+    J = np.zeros((n, K1, model.n_params))
+    if model.family == "multinomial-logistic":
+        Phi, off = X, 0
+    else:
+        h, p = model.hidden, model.input_dim
+        W2, Phi, dA1 = (a[0] for a in tasks._forward(model, w[None], X)[1])
+        off = h * p
+        J[:, :, :off] = np.einsum("kh,nh,np->nkhp", W2, dA1, X).reshape(n, K1, off)
+    d = Phi.shape[1]
+    for k in range(K1):
+        J[:, k, off + k * d: off + (k + 1) * d] = Phi
+    Pk = tasks.posterior_probs(task, w)[:, 1:]
+    Lam = Pk[:, :, None] * np.eye(K1)[None] - Pk[:, :, None] * Pk[:, None, :]
+    M = np.einsum("nab,nbd->nad", Lam, J)
+    F = np.einsum("nad,nae->de", J, M) / n
+    return 0.5 * (F + F.T)
+
+
+def _oracle_case(K, n, hidden):
+    p = max(3, K - 1)
+    family = "mlp-1-hidden" if hidden else "multinomial-logistic"
+    return tasks.Task(
+        tasks.generate_blobs(K, n, p, 2.0, seed=K + n + hidden),
+        tasks.ModelSpec(family, p, K, hidden=hidden, activation="softplus" if hidden == 7 else "tanh"),
+    ), np.random.default_rng(hidden + K)
+
+
+@pytest.mark.parametrize("hidden", [0, 7, 50, 53], ids=lambda h: f"mlp{h}" if h else "logistic")
+@pytest.mark.parametrize("n", [None, 37, 800], ids=lambda n: f"n{n or 'K'}")
+@pytest.mark.parametrize("K", [2, 3, 4, 5])
+def test_fisher_is_bitwise_the_dense_jacobian_formula(K, n, hidden):
+    # n = None: one sample per class
+    t, rng = _oracle_case(K, n or K, hidden)
+    for scale in (0.1, 1.0, 10.0):
+        w = scale * rng.standard_normal(t.model.n_params)
+        assert np.array_equal(fisher(t, w), _dense_fisher(t, w)), scale
+
+
+@pytest.mark.parametrize("hidden", [7, 53])
+@pytest.mark.parametrize("K", [2, 4])
+def test_fisher_block_width_moves_no_bit(K, hidden, monkeypatch):
+    # budgets of one hidden unit and of three units per Jacobian block
+    t, rng = _oracle_case(K, 37, hidden)
+    w = rng.standard_normal(t.model.n_params)
+    want = _dense_fisher(t, w)
+    for budget in (1, 8 * 37 * (K - 1) * t.model.input_dim * 3):
+        monkeypatch.setattr(complexity, "_BLOCK_BYTES", budget)
+        assert np.array_equal(fisher(t, w), want), budget
+
+
+def test_fisher_peak_memory_stays_under_4_mib_at_n_800():
+    # the whole (n, K-1, P) Jacobian stack and its product with the
+    # softmax covariance take 12.5 MiB at this size (P = 300)
+    t = tasks.Task(
+        tasks.generate_blobs(4, 800, 3, 2.5, seed=1),
+        tasks.ModelSpec("mlp-1-hidden", 3, 4, hidden=50),
+    )
+    w = 0.1 * np.random.default_rng(13).standard_normal(t.model.n_params)
+    assert t.model.n_params == 300
+    fisher(t, w)
+    tracemalloc.start()
+    try:
+        fisher(t, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("family", ["multinomial-logistic", "mlp-1-hidden"])
+def test_fisher_rejects_non_finite_weights(family, bad):
+    # 0 * inf is NaN in the dense sum but a skipped term in the block
+    # sums, so a non-finite weight is refused rather than half-propagated
+    t = tasks.Task(
+        tasks.generate_blobs(3, 30, 2, 2.0, seed=2), tasks.ModelSpec(family, 2, 3, hidden=4)
+    )
+    w = np.full(t.model.n_params, 0.1)
+    w[-1] = bad
+    with pytest.raises(ContractError, match="finite"):
+        fisher(t, w)
 
 
 # -- optimal_sigma and report assembly ------------------------------------------

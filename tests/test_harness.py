@@ -398,13 +398,15 @@ _POTENTIALS = st.one_of(
 
 @st.composite
 def _model_and_data(draw):
+    # blob data needs n_classes <= input_dim + 1 and n_samples >= n_classes
+    input_dim = draw(st.integers(1, 4))
     model = {"family": draw(st.sampled_from(["multinomial-logistic", "mlp-1-hidden"])),
-             "input_dim": draw(st.integers(1, 4)), "n_classes": draw(st.integers(2, 4))}
+             "input_dim": input_dim, "n_classes": draw(st.integers(2, min(4, input_dim + 1)))}
     if model["family"] == "mlp-1-hidden":
         model["hidden"] = draw(st.integers(1, 8))
         model.update(draw(_maybe({"activation": st.sampled_from(["tanh", "softplus"])})))
     model.update(draw(_maybe({"weight_decay": _num(0, 1)})))
-    data = {"n_samples": draw(st.integers(1, 200)), "separation": draw(_pos(10))}
+    data = {"n_samples": draw(st.integers(model["n_classes"], 200)), "separation": draw(_pos(10))}
     return model, data
 
 
@@ -1042,6 +1044,40 @@ def test_cli_rejects_an_out_of_bounds_run_count_with_exit_two(tmp_path, capsys):
     out = tmp_path / "out"
     assert cli_main(["batch-sweep", "--config", cfgp, "--out", str(out)]) == 2
     assert "n_runs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("potential", [
+    {"name": "quadratic"},
+    {"name": [0]},
+    {"name": "quadratic", "a": "x"},
+    {"name": "channel_2d", "a": {"name": "double_well_1d"}, "b": {"name": "double_well_1d"},
+     "u_box": [1.0]},
+], ids=["missing-a", "list-name", "string-a", "short-u_box"])
+def test_cli_rejects_malformed_potentials_with_exit_two(tmp_path, capsys, potential):
+    # these escaped the parser as KeyError, TypeError, ValueError and
+    # IndexError, and the CLI exited 1 with a traceback
+    cfgp = _write_json(tmp_path / "cfg.json", dict(ACTION_RAW, potential=potential))
+    out = tmp_path / "out"
+    assert cli_main(["action-check", "--config", cfgp, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: potential:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", [k for k, raw in MINI_RAW.items() if "model" in raw])
+@pytest.mark.parametrize("model, n_samples, message", [
+    ({"input_dim": 2, "n_classes": 3}, 2, "n_samples must be >= n_classes (3), got 2"),
+    ({"input_dim": 3, "n_classes": 5}, 60, "5 classes need input_dim >= 4, got 3"),
+], ids=["n_samples", "input_dim"])
+def test_cli_rejects_blob_data_it_cannot_generate_with_exit_two(tmp_path, capsys, kind, model, n_samples, message):
+    # both used to pass the parser, then flag every cell and exit 0
+    raw = copy.deepcopy(MINI_RAW[kind])
+    raw["model"].update(model)
+    raw["data"]["n_samples"] = n_samples
+    cfgp = _write_json(tmp_path / "cfg.json", raw)
+    out = tmp_path / "out"
+    assert cli_main([kind, "--config", cfgp, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
