@@ -105,7 +105,9 @@ def fisher(task, w):
     if task.data.n == 0 or not np.all(np.isfinite(w)):
         raise ContractError("Fisher needs a nonempty dataset and finite weights")
     model, X, n = task.model, task.data.inputs, task.data.n
-    Pk = tasks.posterior_probs(task, w)[:, 1:]
+    Z1, cache = tasks._forward(model, w[None], X)
+    _, _, E, s = tasks._softmax(Z1)
+    Pk = E[0, :, 1:] / s[0, :, None]
     K1 = Pk.shape[1]
     # softmax covariance restricted to the free logits: diag(p) - p p^T
     Lam = Pk[:, :, None] * np.eye(K1)[None] - Pk[:, :, None] * Pk[:, None, :]
@@ -113,7 +115,7 @@ def fisher(task, w):
     Phi, off, units = X, 0, []  # output-layer features and offset; first-layer blocks
     if model.family == "mlp-1-hidden":
         h, p = model.hidden, model.input_dim
-        W2, Phi, dA1 = (a[0] for a in tasks._forward(model, w[None], X)[1])
+        W2, Phi, dA1 = (a[0] for a in cache)
         off, step = h * p, max(1, _BLOCK_BYTES // (8 * n * K1 * p))
         units = [slice(j, min(j + step, h)) for j in range(0, h, step)]
 
@@ -331,8 +333,8 @@ def train_minimizers(task, cfg, restarts, name="task", posterior=None):
 
     Restart r starts from the initial point of trainer seed cfg.seed + r;
     all descend in lockstep.  Returns (W (R, P), converged (R,),
-    iterations (R,)); row r is bitwise the train_minimizer result for
-    that seed.  With ``posterior`` = (beta, lambda2) the stack gains a
+    iterations (R,)); row r is bitwise a one-restart descent from that
+    seed.  With ``posterior`` = (beta, lambda2) the stack gains a
     last row: the train_posterior_mean descent, bitwise, from restart
     0's start.
     """
@@ -347,12 +349,6 @@ def train_minimizers(task, cfg, restarts, name="task", posterior=None):
         W0, lambda W: tasks.batch_loss_grad_many(task, W), c, cfg, name, restarts=restarts
     )
     return W, converged, iters
-
-
-def train_minimizer(task, cfg, name="task"):
-    """Minimize the task's own regularized loss by full-batch descent."""
-    W, converged, iters = train_minimizers(task, cfg, 1, name)
-    return W[0], bool(converged[0]), int(iters[0])
 
 
 # -- structure curves ---------------------------------------------------------

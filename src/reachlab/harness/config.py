@@ -251,7 +251,7 @@ def _cross_validate(seed, p):
         if len(p[a]) != dim or len(p[b]) != dim:
             raise ConfigError(f"{a}/{b} must have the potential's dimension ({dim})")
     if "w0" in p:
-        if sum((a - b) ** 2 for a, b in zip(p["w0"], p["target"])) <= p["radius"] ** 2:
+        if math.dist(p["w0"], p["target"]) <= p["radius"]:
             raise ConfigError("w0 lies inside the target ball; every passage time would be 0")
         if len(set(p["d_grid"])) < 3:
             raise ConfigError("d_grid needs >= 3 distinct values")

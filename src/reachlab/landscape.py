@@ -6,10 +6,8 @@ wrapped.  A potential is written once, in batched form: ``value_many``,
 row, and ensemble simulations and the action descent call them directly.
 The single-point ``value`` / ``grad`` / ``hessian`` / ``laplacian`` are
 their one-row case, so a point and row k of a batch holding it give the
-same bits.  Three derived fields are computed from any potential:
+same bits.  Two derived fields are computed from any potential:
 
-* ``drift``                : descent drift -grad U, the deterministic part of
-                             the overdamped dynamics dw = drift dt + sqrt(2D) dB
 * ``path_potential``       : V = 0.5 |grad U|^2 - D lap U, the potential felt
                              by path weights in the (Stratonovich) action
 * ``effective_potential``  : U + D log det_+ hess U, the curvature-corrected
@@ -320,11 +318,6 @@ class Channel2D(Potential):
         H[:, 0, 1] = H[:, 1, 0] = b1 * v
         H[:, 1, 1] = bv
         return H
-
-
-def drift(p, w):
-    """Deterministic drift of the overdamped dynamics: -grad U(w)."""
-    return -p.grad(w)
 
 
 def path_potential(p, w, D):

@@ -72,9 +72,6 @@ class RateFit:
     r2: float
     points: list  # (x, mean_time) pairs actually fitted
 
-    def predict(self, x):
-        return np.exp(self.intercept + self.slope * np.asarray(x, dtype=float))
-
     def to_dict(self):
         return {
             "slope": self.slope,

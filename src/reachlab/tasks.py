@@ -264,16 +264,24 @@ def _over_classes(op, Z):
     return acc
 
 
+def _softmax(Z1):
+    """The softmax over logits Z = [0, Z1] (R, n, K), in pieces: Z, the
+    per-sample max m, E = exp(Z - m) and its per-sample sum s.  The
+    posterior is E / s and the log-normalizer m + log(s)."""
+    R, n, _ = Z1.shape
+    Z = np.concatenate([np.zeros((R, n, 1)), Z1], axis=2)
+    m = _over_classes(np.maximum, Z)
+    E = np.exp(Z - m[..., None])
+    return Z, m, E, _over_classes(np.add, E)
+
+
 def _ce_and_dlogits(model, W, X, y, backprop=True):
     """Mean cross-entropy per run (R,) on (X, y) and, with ``backprop``,
     its gradient w.r.t. the free logits (R, n, K-1) and the forward cache."""
     Z1, cache = _forward(model, W, X, backprop)
-    R, n, K1 = Z1.shape
-    Z = np.concatenate([np.zeros((R, n, 1)), Z1], axis=2)
-    m = _over_classes(np.maximum, Z)
-    E = np.exp(Z - m[..., None])
-    s = _over_classes(np.add, E)
-    at = np.arange(0, R * n * (K1 + 1), K1 + 1).reshape(R, n) + y  # flat index of z_y
+    Z, m, E, s = _softmax(Z1)
+    R, n, K = Z.shape
+    at = np.arange(0, R * n * K, K).reshape(R, n) + y  # flat index of z_y
     ce = (m + np.log(s) - Z.ravel()[at]).sum(axis=1) / n
     if not backprop:
         return ce, None, None
@@ -300,22 +308,18 @@ def _sq_norms(W):
     return (W[:, None, :] @ W[:, :, None])[:, 0, 0]
 
 
-def posterior_probs(task, w, inputs=None):
+def posterior_probs(task, w):
     """Class posteriors p_w(y|x), shape (n, n_classes); column 0 is the
     pinned reference class.  Max-subtracted softmax, safe for huge logits."""
     w = _check_w(task.model, w)
-    X = task.data.inputs if inputs is None else np.asarray(inputs, dtype=float)
-    Z1 = _forward(task.model, w[None], X, backprop=False)[0][0]
-    Z = np.concatenate([np.zeros((X.shape[0], 1)), Z1], axis=1)
-    Z = Z - Z.max(axis=1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=1, keepdims=True)
+    _, _, E, s = _softmax(_forward(task.model, w[None], task.data.inputs, backprop=False)[0])
+    return E[0] / s[0, :, None]
 
 
-def cross_entropy(task, w, idx=None):
+def cross_entropy(task, w):
     """Mean cross-entropy alone, without the weight-decay term."""
     w = _check_w(task.model, w)
-    X, y = _subset(task, idx)
+    X, y = _subset(task, None)
     return float(_ce_and_dlogits(task.model, w[None], X, y, backprop=False)[0][0])
 
 
@@ -332,12 +336,6 @@ def loss_many(task, W):
 def loss(task, w):
     """Mean cross-entropy + (weight_decay / 2) |w|^2."""
     return float(loss_many(task, _check_w(task.model, w)[None])[0])
-
-
-def grad_loss(task, w):
-    w = _check_w(task.model, w)
-    _, g = batch_loss_grad(task, w)
-    return g + task.model.weight_decay * w
 
 
 def batch_loss_grad_many(task, W, idx=None):

@@ -19,7 +19,6 @@ from reachlab.complexity import (
     optimal_sigma,
     structure_curve,
     task_distance,
-    train_minimizer,
     train_posterior_mean,
 )
 from reachlab.errors import ContractError, NumericalError, TrainingDivergedError
@@ -210,6 +209,21 @@ def test_fisher_block_width_moves_no_bit(K, hidden, monkeypatch):
         assert np.array_equal(fisher(t, w), want), budget
 
 
+@pytest.mark.parametrize("hidden", [0, 7])
+def test_fisher_runs_one_forward_pass(hidden, monkeypatch):
+    # the posterior and the MLP's backprop cache come from the same pass
+    t, rng = _oracle_case(3, 20, hidden)
+    calls, forward = [], tasks._forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return forward(*args, **kwargs)
+
+    monkeypatch.setattr(tasks, "_forward", counted)
+    fisher(t, rng.standard_normal(t.model.n_params))
+    assert len(calls) == 1
+
+
 def test_fisher_peak_memory_stays_under_4_mib_at_n_800():
     # the whole (n, K-1, P) Jacobian stack and its product with the
     # softmax covariance take 12.5 MiB at this size (P = 300)
@@ -326,9 +340,9 @@ def test_train_minimizer_reaches_interior_optimum():
     d = tasks.generate_blobs(2, 40, 1, 6.0, seed=2)
     m = tasks.ModelSpec("multinomial-logistic", 1, 2, weight_decay=0.1)
     t = tasks.Task(d, m)
-    w, conv, _ = train_minimizer(t, TR)
-    assert conv
-    assert np.linalg.norm(tasks.grad_loss(t, w)) <= 1e-8
+    W, conv, _ = complexity.train_minimizers(t, TR, 1)
+    assert conv[0]
+    assert np.linalg.norm(tasks.batch_loss_grad(t, W[0])[1] + m.weight_decay * W[0]) <= 1e-8
 
 
 def _reference_descent(task, cfg, c=None):
@@ -356,8 +370,8 @@ def test_lockstep_restarts_equal_separate_descents():
     for r in range(3):
         w, ok, it = _reference_descent(t, dataclasses.replace(cfg, seed=9 + r))
         assert np.array_equal(W[r], w) and conv[r] == ok and iters[r] == it
-    w, ok, it = train_minimizer(t, dataclasses.replace(cfg, seed=10))
-    assert np.array_equal(W[1], w) and ok and it == iters[1]
+    W1, ok, it = complexity.train_minimizers(t, dataclasses.replace(cfg, seed=10), 1)
+    assert np.array_equal(W[1], W1[0]) and ok[0] and it[0] == iters[1]
     # a mixed stack: the same restarts plus a posterior-mean row (c = 2.0,
     # which freezes first), each row bitwise its own descent
     W, conv, iters = complexity.train_minimizers(t, cfg, 3, posterior=(2.0, 1.0))

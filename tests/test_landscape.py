@@ -279,12 +279,6 @@ def test_channel_value_assembles_profile_and_stiffness():
     assert ch.value(np.array([0.0, 2.0])) == pytest.approx(4.0)
 
 
-def test_drift_is_negative_gradient():
-    pot = landscape.Quadratic(np.array([2.0]))
-    w = np.array([1.5])
-    assert np.allclose(landscape.drift(pot, w), -pot.grad(w))
-
-
 def test_path_potential_negative_at_flat_minimum():
     # V = 0.5|grad U|^2 - D lap U is -D * lap at a minimum: flatter is cheaper
     sharp = landscape.Quadratic(np.array([4.0]))

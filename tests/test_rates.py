@@ -73,7 +73,7 @@ def test_arrhenius_fit_recovers_an_exact_line():
     assert fit.slope == pytest.approx(2.0, rel=1e-12)
     assert fit.intercept == pytest.approx(1.0, rel=1e-10)
     assert fit.r2 == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(fit.predict(xs), ts, rtol=1e-9)
+    assert np.allclose(np.exp(fit.intercept + fit.slope * xs), ts, rtol=1e-9)
     d = fit.to_dict()
     assert d["points"] == [[float(x), float(t)] for x, t in zip(xs, ts)]
 
