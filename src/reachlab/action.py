@@ -9,7 +9,9 @@ discretized segment by segment with drift and divergence evaluated at
 segment midpoints.  Expanding the square splits the total into a static
 part, (U(end) - U(start)) / 2D, that depends only on the endpoints, and a
 dynamic part (1/2D) int [ (1/2)|dw/dt|^2 + V(w) ] dt built on the path
-potential V = 0.5 |grad U|^2 - D lap U.  The split is exact in the
+potential V = 0.5 |grad U|^2 - D lap U.  ``_midpoint_terms`` holds the
+one per-segment formula that ``om_action`` and the descent's
+``_action_and_grad`` both sum.  The split is exact in the
 continuum; on a grid the mismatch (the "decomposition defect") is the
 midpoint quadrature error of int grad U . dw and shrinks like dt^2.
 
@@ -48,6 +50,21 @@ class ActionBreakdown:
         return self.total - self.static_term - self.dynamic_term
 
 
+def _midpoint_terms(p, W, dt, D):
+    """Segment-midpoint pieces of the action of the knots W (n, d).
+
+    Returns the midpoints, the velocities v, grad U and lap U at the
+    midpoints, the residual r = v + grad U and the per-segment action
+    dt (|r|^2 / 4D - lap U / 2), whose sum is the discrete action.
+    """
+    mids = 0.5 * (W[1:] + W[:-1])
+    v = np.diff(W, axis=0) / dt
+    g = p.grad_many(mids)          # f = -g
+    lap = p.laplacian_many(mids)   # div f = -lap
+    r = v + g
+    return mids, v, g, lap, r, dt * (np.sum(r * r, axis=1) / (4.0 * D) - 0.5 * lap)
+
+
 def om_action(p, path, D):
     """Midpoint-discretized action of ``path`` under potential ``p``."""
     if not (np.isfinite(D) and D > 0):
@@ -58,17 +75,11 @@ def om_action(p, path, D):
     if W.shape[1] != p.dim:
         raise ContractError(f"path dim {W.shape[1]} != potential dim {p.dim}")
     dt = path.dt
-    mids = 0.5 * (W[1:] + W[:-1])
-    v = np.diff(W, axis=0) / dt
-    g = p.grad_many(mids)          # f = -g
-    lap = p.laplacian_many(mids)   # div f = -lap
-    r = v + g
-    per_seg = dt * (np.sum(r * r, axis=1) / (4.0 * D) - 0.5 * lap)
-    total = float(np.sum(per_seg))
+    _, v, g, lap, _, per_seg = _midpoint_terms(p, W, dt, D)
     static = (p.value(W[-1]) - p.value(W[0])) / (2.0 * D)
-    V = 0.5 * np.sum(g * g, axis=1) - D * lap
+    V = 0.5 * np.sum(g * g, axis=1) - D * lap  # the path potential
     dynamic = float(np.sum(dt * (0.5 * np.sum(v * v, axis=1) + V)) / (2.0 * D))
-    return ActionBreakdown(total, float(static), dynamic, per_seg)
+    return ActionBreakdown(float(np.sum(per_seg)), float(static), dynamic, per_seg)
 
 
 @dataclass(frozen=True)
@@ -83,12 +94,8 @@ class CriticalPath:
 
 def _action_and_grad(p, W, dt, D):
     """Discrete action and its gradient w.r.t. the interior knots."""
-    mids = 0.5 * (W[1:] + W[:-1])
-    v = np.diff(W, axis=0) / dt
-    g = p.grad_many(mids)
-    lap = p.laplacian_many(mids)
-    r = v + g
-    S = float(np.sum(dt * (np.sum(r * r, axis=1) / (4.0 * D) - 0.5 * lap)))
+    mids, _, _, _, r, per_seg = _midpoint_terms(p, W, dt, D)
+    S = float(np.sum(per_seg))
     H = p.hessian_many(mids)
     gL = p.grad_laplacian_many(mids)
     Hr = np.einsum("kab,kb->ka", H, r)
@@ -357,6 +364,8 @@ def transition_ratio(p, w0, candidates, radius, T, params, n_runs):
         raise ContractError("need at least one candidate")
     if not (np.isfinite(radius) and radius > 0):
         raise ContractError("radius must be positive")
+    if not np.isfinite(float(radius) * float(radius)):  # floats overflow to inf, unwarned
+        raise ContractError("radius must have a finite square")
     n_steps = int(round(T / params.dt))
     if n_steps < 1 or n_steps > params.max_steps:
         raise ContractError("T must give between 1 and max_steps steps")

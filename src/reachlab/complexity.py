@@ -415,6 +415,12 @@ def structure_curve(task, beta_grid, lambda2, trainer):
 # -- task distances -----------------------------------------------------------
 
 
+def _trained_c_beta(data, model, beta, lambda2, trainer, name):
+    """C_beta(data).total, at the dataset's trained posterior mean."""
+    w, _, _ = train_posterior_mean(data, model, beta, lambda2, trainer, name=name)
+    return c_beta(tasks.Task(data, model), w, beta, lambda2).total
+
+
 def task_distance(d1, d2, model, beta, lambda2, trainer, names=("d1", "d2")):
     """d_beta(d1 -> d2) = C_beta(d1 u d2) - C_beta(d1), trained means.
 
@@ -424,13 +430,9 @@ def task_distance(d1, d2, model, beta, lambda2, trainer, names=("d1", "d2")):
     the base dataset.
     """
     union = tasks.concat(d1, d2, n_classes=model.n_classes)
-    w_base, _, _ = train_posterior_mean(d1, model, beta, lambda2, trainer, name=names[0])
-    w_union, _, _ = train_posterior_mean(
-        union, model, beta, lambda2, trainer, name=f"{names[0]}+{names[1]}"
-    )
-    c_base = c_beta(tasks.Task(d1, model), w_base, beta, lambda2)
-    c_union = c_beta(tasks.Task(union, model), w_union, beta, lambda2)
-    return c_union.total - c_base.total
+    c_base = _trained_c_beta(d1, model, beta, lambda2, trainer, names[0])
+    c_union = _trained_c_beta(union, model, beta, lambda2, trainer, f"{names[0]}+{names[1]}")
+    return c_union - c_base
 
 
 @dataclass(frozen=True)
@@ -461,27 +463,22 @@ def distance_matrix(datasets, model, beta, lambda2, trainer, ids=None):
     if len(ids) != n:
         raise ContractError("ids must align with datasets")
     base = np.full(n, np.nan)
-    w_means = [None] * n
+    trained = []  # the rows whose base dataset trained
     flags = {}
     for i, d in enumerate(datasets):
         try:
-            w, _, _ = train_posterior_mean(d, model, beta, lambda2, trainer, name=ids[i])
-            w_means[i] = w
-            base[i] = c_beta(tasks.Task(d, model), w, beta, lambda2).total
+            base[i] = _trained_c_beta(d, model, beta, lambda2, trainer, ids[i])
+            trained.append(i)
         except TrainingDivergedError as exc:
             flags[f"{i},{i}"] = str(exc)
     values = np.full((n, n), np.nan)
-    for i in range(n):
-        if w_means[i] is None:
-            continue
+    for i in trained:
         for j in range(n):
             try:
                 union = tasks.concat(datasets[i], datasets[j], n_classes=model.n_classes)
-                w_u, _, _ = train_posterior_mean(
-                    union, model, beta, lambda2, trainer, name=f"{ids[i]}+{ids[j]}"
-                )
-                c_u = c_beta(tasks.Task(union, model), w_u, beta, lambda2)
-                values[i, j] = c_u.total - base[i]
+                values[i, j] = _trained_c_beta(
+                    union, model, beta, lambda2, trainer, f"{ids[i]}+{ids[j]}"
+                ) - base[i]
             except TrainingDivergedError as exc:
                 flags[f"{i},{j}"] = str(exc)
     return DistanceMatrix(list(ids), values, base, flags)

@@ -128,7 +128,12 @@ class EscapeStats:
 
     @property
     def median(self):
-        return float(np.median(self.samples)) if self.samples.size else float("nan")
+        """``np.median`` of the sorted samples, without the ``numpy.ma``
+        import that ``np.median`` costs."""
+        s, h = self.samples, self.samples.size // 2
+        if not s.size:
+            return float("nan")
+        return float(s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2)
 
     def to_dict(self):
         return {
@@ -231,6 +236,8 @@ def first_passage_many(p, w0, target_center, radius, cells, n_runs):
     target = check_point(p, target_center)
     if not (np.isfinite(radius) and radius > 0):
         raise ContractError("radius must be positive")
+    if not np.isfinite(float(radius) * float(radius)):  # floats overflow to inf, unwarned
+        raise ContractError("radius must have a finite square")
     if n_runs < 1:
         raise ContractError("n_runs must be >= 1")
     if not cells or any((c.dt, c.max_steps) != (cells[0].dt, cells[0].max_steps) for c in cells):

@@ -253,6 +253,8 @@ def _cross_validate(seed, p):
     if "w0" in p:
         if math.dist(p["w0"], p["target"]) <= p["radius"]:
             raise ConfigError("w0 lies inside the target ball; every passage time would be 0")
+        if not math.isfinite(p["radius"] * p["radius"]):
+            raise ConfigError("radius must have a finite square")
         if len(set(p["d_grid"])) < 3:
             raise ConfigError("d_grid needs >= 3 distinct values")
     if "model" in p:

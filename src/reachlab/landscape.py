@@ -6,23 +6,15 @@ wrapped.  A potential is written once, in batched form: ``value_many``,
 row, and ensemble simulations and the action descent call them directly.
 The single-point ``value`` / ``grad`` / ``hessian`` / ``laplacian`` are
 their one-row case, so a point and row k of a batch holding it give the
-same bits.  Two derived fields are computed from any potential:
-
-* ``path_potential``       : V = 0.5 |grad U|^2 - D lap U, the potential felt
-                             by path weights in the (Stratonovich) action
-* ``effective_potential``  : U + D log det_+ hess U, the curvature-corrected
-                             landscape that governs where long runs settle
-
-``effective_potential`` keeps only eigenvalues above a relative floor, so it
-is well defined at saddles where the determinant would otherwise vanish or
-go negative.
+same bits.  The path potential V = 0.5 |grad U|^2 - D lap U of the
+action is built from these by ``action.om_action``.
 """
 
 from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .errors import ContractError, NumericalError
+from .errors import ContractError
 
 
 class Potential(ABC):
@@ -318,45 +310,6 @@ class Channel2D(Potential):
         H[:, 0, 1] = H[:, 1, 0] = b1 * v
         H[:, 1, 1] = bv
         return H
-
-
-def path_potential(p, w, D):
-    """V(w) = 0.5 |grad U|^2 - D lap U, the action's potential term.
-
-    At a strict local minimum the gradient vanishes and V = -D lap U < 0:
-    flat minima cost less to linger in than sharp ones, by exactly the
-    curvature term.
-    """
-    return float(path_potential_many(p, check_point(p, w)[None], D)[0])
-
-
-def path_potential_many(p, W, D):
-    """``path_potential`` at each row of ``W`` (n, dim), shape (n,)."""
-    if not (np.isfinite(D) and D >= 0):
-        raise ContractError("D must be nonnegative and finite")
-    G = p.grad_many(W)
-    return 0.5 * np.sum(G * G, axis=1) - D * p.laplacian_many(W)
-
-
-def effective_potential(p, w, D):
-    """Curvature-corrected potential U(w) + D * log det_+ hess U(w).
-
-    det_+ keeps eigenvalues above ``1e-6 * max(|lambda|_max, 1)``; if none
-    qualify (e.g. at a saddle of a 1-D double well) the log term is zero
-    and the bare potential is returned.
-    """
-    if not (np.isfinite(D) and D >= 0):
-        raise ContractError("D must be nonnegative and finite")
-    w = check_point(p, w)
-    H = p.hessian(w)
-    try:
-        eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"hessian eigendecomposition failed at w={w}: {exc}") from exc
-    floor = 1e-6 * max(np.max(np.abs(eigs)), 1.0)
-    kept = eigs[eigs > floor]
-    logdet = float(np.sum(np.log(kept))) if kept.size else 0.0
-    return float(p.value(w) + D * logdet)
 
 
 # name -> (builder, the parameter keys it reads)

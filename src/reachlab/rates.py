@@ -6,9 +6,9 @@ Two rate forms live here.  The classical double-well rate
 
 is the physical reference the simulators are checked against.  The
 complexity form ``prefactor * exp(-delta_c / D)`` expresses the same law
-with a curvature-corrected barrier; the two coincide when delta_c is the
-barrier of the effective potential and the prefactor absorbs the
-curvature of the starting well (see the identity tests).
+with the curvatures moved into the prefactor; the two coincide when
+delta_c is the barrier dU and the prefactor is the curvature factor
+above (see the identity tests).
 
 The exponent convention matters: passage times fitted against 1/D give a
 slope equal to the barrier under the exp(-delta/D) form, and half of it

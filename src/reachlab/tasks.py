@@ -308,14 +308,6 @@ def _sq_norms(W):
     return (W[:, None, :] @ W[:, :, None])[:, 0, 0]
 
 
-def posterior_probs(task, w):
-    """Class posteriors p_w(y|x), shape (n, n_classes); column 0 is the
-    pinned reference class.  Max-subtracted softmax, safe for huge logits."""
-    w = _check_w(task.model, w)
-    _, _, E, s = _softmax(_forward(task.model, w[None], task.data.inputs, backprop=False)[0])
-    return E[0] / s[0, :, None]
-
-
 def cross_entropy(task, w):
     """Mean cross-entropy alone, without the weight-decay term."""
     w = _check_w(task.model, w)

@@ -326,8 +326,14 @@ def test_criterion_08_information_geometry():
     delta = rng.standard_normal(t.model.n_params)
     delta /= np.linalg.norm(delta)
     eps = 1e-3
-    P = tasks.posterior_probs(t, w)
-    P2 = tasks.posterior_probs(t, w + eps * delta)
+
+    def posterior(w):  # softmax over the logits [0, z], z = W x
+        Z = np.hstack([np.zeros((d.n, 1)), d.inputs @ w.reshape(2, 2).T])
+        E = np.exp(Z - Z.max(axis=1, keepdims=True))
+        return E / E.sum(axis=1, keepdims=True)
+
+    P = posterior(w)
+    P2 = posterior(w + eps * delta)
     kl_pred = float(np.mean(np.sum(P * (np.log(P) - np.log(P2)), axis=1)))
     ratio = kl_pred / (0.5 * eps**2 * float(delta @ F @ delta))
 

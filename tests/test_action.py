@@ -437,6 +437,8 @@ def test_transition_ratio_contracts():
         transition_ratio(q, np.zeros(2), [np.zeros(2)], -0.5, 1.0, par, 8)
     with pytest.raises(ContractError):
         transition_ratio(q, np.zeros(2), [np.zeros(2)], 0.5, 100.0, par, 8)
+    with pytest.raises(ContractError, match="finite square"):
+        transition_ratio(q, np.zeros(2), [np.full(2, 1e200)], 2e154, 1.0, par, 8)
 
 
 def test_transition_ratio_zero_reference_is_an_error():

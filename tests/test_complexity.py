@@ -138,8 +138,8 @@ def test_fisher_matches_kl_quadratic_expansion():
     delta = rng.standard_normal(t.model.n_params)
     delta /= np.linalg.norm(delta)
     for eps, tol in ((1e-2, 0.05), (1e-3, 0.005)):
-        P = tasks.posterior_probs(t, w)
-        P2 = tasks.posterior_probs(t, w + eps * delta)
+        P = _posterior(t, w)
+        P2 = _posterior(t, w + eps * delta)
         kl_pred = float(np.mean(np.sum(P * (np.log(P) - np.log(P2)), axis=1)))
         quad = 0.5 * eps**2 * float(delta @ F @ delta)
         assert kl_pred / quad == pytest.approx(1.0, abs=tol)
@@ -152,6 +152,14 @@ def test_fisher_rejects_empty_dataset():
     t = tasks.Task(empty, tasks.ModelSpec("multinomial-logistic", 1, 2))
     with pytest.raises(ContractError):
         fisher(t, np.zeros(1))
+
+
+def _posterior(task, w):
+    """p_w(y|x) (n, K): the softmax over the logits [0, z] written out."""
+    Z1 = tasks._forward(task.model, w[None], task.data.inputs, backprop=False)[0][0]
+    Z = np.concatenate([np.zeros((Z1.shape[0], 1)), Z1], axis=1)
+    E = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return E / E.sum(axis=1, keepdims=True)
 
 
 def _dense_fisher(task, w):
@@ -170,7 +178,7 @@ def _dense_fisher(task, w):
     d = Phi.shape[1]
     for k in range(K1):
         J[:, k, off + k * d: off + (k + 1) * d] = Phi
-    Pk = tasks.posterior_probs(task, w)[:, 1:]
+    Pk = _posterior(task, w)[:, 1:]
     Lam = Pk[:, :, None] * np.eye(K1)[None] - Pk[:, :, None] * Pk[:, None, :]
     M = np.einsum("nab,nbd->nad", Lam, J)
     F = np.einsum("nad,nae->de", J, M) / n
@@ -601,6 +609,19 @@ def test_matrix_diagonal_vanishes_on_distinct_tasks(four_class):
     assert np.abs(np.diag(M.values)).max() <= bound
     # nested family: leaving a sub-task costs more than entering it
     assert M.values[0, 2] < M.values[2, 0]
+
+
+def test_matrix_entries_are_task_distances_bitwise():
+    # the matrix and the one-pair entry point share one C_beta formula
+    d = tasks.generate_blobs(3, 30, 2, 2.5, seed=4)
+    m = tasks.ModelSpec("multinomial-logistic", 2, 3)
+    fam = [d, tasks.corrupt_labels(d, 0.3, seed=2), tasks.subset_classes(d, [0, 2])]
+    M = distance_matrix(fam, m, 0.05, 1.0, TR)
+    assert not M.flags
+    for i in range(3):
+        for j in range(3):
+            got = task_distance(fam[i], fam[j], m, 0.05, 1.0, TR)
+            assert M.values[i, j].tobytes() == np.float64(got).tobytes(), (i, j)
 
 
 def test_matrix_flags_training_failures_as_flags_not_numbers(four_class):

@@ -159,6 +159,9 @@ def test_first_passage_rejects_bad_arguments():
         first_passage(q, np.array([0.0]), np.array([1.0]), -0.1, par, n_runs=2)
     with pytest.raises(ContractError):
         first_passage(q, np.array([0.0]), np.array([1.0]), 0.1, par, n_runs=0)
+    # squared, this radius is inf, and a start 1e200 away would count as inside
+    with pytest.raises(ContractError, match="finite square"):
+        first_passage(q, np.array([-1e200]), np.array([1.0]), 2e154, par, n_runs=2)
 
 
 def test_first_passage_errors_when_every_run_censors():

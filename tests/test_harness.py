@@ -849,7 +849,8 @@ def test_action_check_runs_without_scipy_optimize(tmp_path):
 
 
 def test_summary_kinds_run_without_scipy_stats(tmp_path):
-    # the Arrhenius fit and the rank correlation are numpy code now
+    # the Arrhenius fit and the rank correlation are numpy code now, and
+    # the escape medians skip np.median, which imports numpy.ma (1.3 MB)
     src = os.path.dirname(os.path.dirname(reachlab.__file__))
     runs = []
     for kind, raw in (("kramers-sweep", KRAMERS_RAW), ("label-sweep", LABEL_RAW)):
@@ -858,13 +859,13 @@ def test_summary_kinds_run_without_scipy_stats(tmp_path):
     code = (
         "import sys; from reachlab.harness.cli import main; "
         f"assert [{', '.join(runs)}] == [0, 0]; "
-        "print('scipy.stats' in sys.modules)"
+        "print([m for m in ('scipy.stats', 'numpy.ma') if m in sys.modules])"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
         capture_output=True, text=True, check=True, timeout=300,
     ).stdout
-    assert out.strip().splitlines()[-1] == "False"
+    assert out.strip().splitlines()[-1] == "[]"
     assert json.loads((tmp_path / "kramers-sweep" / "bundle.json").read_text())["summary"]
 
 
@@ -989,6 +990,9 @@ def test_cli_rejects_bad_configs_with_exit_two(tmp_path, capsys):
     assert cli_main(["kramers-sweep", "--config", warped, "--out", str(tmp_path)]) == 2
     ok = _write_json(tmp_path / "ok.json", dict(KRAMERS_RAW))
     assert cli_main(["kramers-sweep", "--config", ok, "--out", str(tmp_path), "--workers", "0"]) == 2
+    # outside the ball, but the radius squares to inf
+    huge = _write_json(tmp_path / "huge.json", dict(KRAMERS_RAW, w0=[-1e200], radius=2e154))
+    assert cli_main(["kramers-sweep", "--config", huge, "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err  # every rejection explains itself on stderr
 
 

@@ -18,13 +18,10 @@ UNREAD = {
     "action.transition_ratio": "ROADMAP item 6 gates it",
     "rates.kramers_rate_complexity": "ROADMAP item 8 gates it",
     "diffusion.simulate_sgd": "ROADMAP item 10 gates it",
-    "landscape.path_potential": "ROADMAP item 13 gates it",
-    "landscape.effective_potential": "ROADMAP item 13 gates or deletes it",
     "harness.experiments.rerun": "the byte-for-byte rerun check",
     "harness.bundle.ResultBundle.same_results": "the byte-for-byte rerun check",
     "landscape.Potential.laplacian": "the one-row case, which bench/tracer.py counts by name",
     "landscape.Potential.grad_laplacian": "the one-row case, which bench/tracer.py counts by name",
-    "tasks.posterior_probs": "the Fisher tests and criterion 8 read the posterior fisher uses",
 }
 
 

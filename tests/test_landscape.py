@@ -1,11 +1,12 @@
-"""Potential values, derivatives, and the curvature-corrected variants."""
+"""Potential values and derivatives, and the path potential they build."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reachlab import landscape
+from reachlab import action, landscape
+from reachlab.diffusion import Path
 from reachlab.errors import ContractError
 
 
@@ -280,48 +281,19 @@ def test_channel_value_assembles_profile_and_stiffness():
 
 
 def test_path_potential_negative_at_flat_minimum():
-    # V = 0.5|grad U|^2 - D lap U is -D * lap at a minimum: flatter is cheaper
-    sharp = landscape.Quadratic(np.array([4.0]))
-    flat = landscape.Quadratic(np.array([0.25]))
-    w = np.zeros(1)
-    v_sharp = landscape.path_potential(sharp, w, 0.1)
-    v_flat = landscape.path_potential(flat, w, 0.1)
-    assert v_sharp == pytest.approx(-0.4)
-    assert v_flat == pytest.approx(-0.025)
-    assert v_sharp < v_flat < 0
-
-
-def test_path_potential_many_matches_scalar():
-    pot = landscape.DoubleWell1D()
-    W = np.linspace(-2, 2, 9)[:, None]
-    many = landscape.path_potential_many(pot, W, 0.2)
-    for k, w in enumerate(W):
-        assert many[k] == landscape.path_potential(pot, w, 0.2)
-
-
-def test_path_potential_rejects_negative_noise():
-    pot = landscape.DoubleWell1D()
-    for D in (-0.1, np.nan):
-        with pytest.raises(ContractError, match="nonnegative and finite"):
-            landscape.path_potential_many(pot, np.zeros((3, 1)), D)
-        with pytest.raises(ContractError, match="nonnegative and finite"):
-            landscape.path_potential(pot, np.zeros(1), D)
-        with pytest.raises(ContractError, match="nonnegative and finite"):
-            landscape.effective_potential(pot, np.ones(1), D)
-
-
-def test_effective_potential_adds_logdet_of_positive_curvature():
-    pot = landscape.Quadratic(np.array([2.0, 3.0]))
-    w = np.array([0.5, -0.5])
-    want = pot.value(w) + 0.1 * (np.log(2.0) + np.log(3.0))
-    assert landscape.effective_potential(pot, w, 0.1) == pytest.approx(want)
-
-
-def test_effective_potential_drops_nonpositive_directions():
-    dw = landscape.DoubleWell1D()
-    saddle = np.array([0.0])
-    # the only eigenvalue is negative, so the correction vanishes
-    assert landscape.effective_potential(dw, saddle, 0.1) == pytest.approx(0.25)
+    # a path resting at a minimum has dynamic term T V / 2D, where
+    # V = 0.5|grad U|^2 - D lap U = -D lap U: negative, and more so where
+    # the minimum is sharper
+    D, T = 0.1, 2.0
+    rest = Path(np.linspace(0.0, T, 9), np.zeros((9, 1)))
+    V = {}
+    for curv in (4.0, 0.25):
+        split = action.om_action(landscape.Quadratic(np.array([curv])), rest, D)
+        assert split.static_term == 0.0
+        V[curv] = split.dynamic_term * 2.0 * D / T
+    assert V[4.0] == pytest.approx(-0.4)
+    assert V[0.25] == pytest.approx(-0.025)
+    assert V[4.0] < V[0.25] < 0
 
 
 def test_from_config_round_trips_builtins():
