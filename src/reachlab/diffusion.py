@@ -10,19 +10,19 @@ Sigma_1 / B (per-sample covariance over batch size).
 Ensembles (first passage, convergence times) give run i the Philox stream
 (seed, i), so their statistics do not depend on execution order and are
 bit-identical across --workers settings.  Their runs step in lockstep as
-one batched computation, and draw their randomness per run in chunks of
-at most _NOISE_CHUNK steps.  A Langevin run's noise is the row sequence
-of ``standard_normal((m, d))`` draws: m rows drawn at once equal the
-same rows drawn in any split, so the block length is free and the
-stream is the one these simulators drew when they stepped one step per
-loop pass.  ``_langevin_block`` steps one block for runs that may each
-have their own noise amplitude; ``first_passage_many`` uses that to
-step the walkers of several noise levels (cells) as one ensemble, with
-blocks short enough that the ensemble never holds more states than one
-cell's _NOISE_CHUNK-step block.  Steps past a run's passage are
-discarded.  For SGD, run i's chunk is ``integers(0, n, size=(m, B))``,
-which equals m per-step draws of ``integers(0, n, size=B)``; draws past
-the step at which a run stops are discarded, so run i's time depends on
+one batched computation through one passage loop, ``_passage``, and
+draw their randomness per run in chunks of at most _NOISE_CHUNK steps.
+A Langevin run's noise is the row sequence of ``standard_normal((m, d))``
+draws: m rows drawn at once equal the same rows drawn in any split, so
+the block length is free and the stream is the one these simulators
+drew when they stepped one step per loop pass.  ``_langevin_block``
+steps one block for runs that may each have their own noise amplitude;
+``first_passage_many`` uses that to step the walkers of several noise
+levels (cells) as one ensemble, with blocks short enough that the
+ensemble never holds more states than one cell's _NOISE_CHUNK-step
+block.  For SGD, run i's chunk is ``integers(0, n, size=(m, B))``, which
+equals m per-step draws of ``integers(0, n, size=B)``; draws past the
+step at which a run stops are discarded, so run i's time depends on
 its own stream alone.  The SGD functions import ``tasks`` themselves:
 the Langevin half, all that ``action`` uses, needs none of it.
 """
@@ -135,16 +135,6 @@ class EscapeStats:
             return float("nan")
         return float(s[h] if s.size % 2 else (s[h - 1] + s[h]) / 2)
 
-    def to_dict(self):
-        return {
-            "samples": [float(v) for v in self.samples],
-            "n_runs": self.n_runs,
-            "n_censored": self.n_censored,
-            "mean": self.mean,
-            "std": self.std,
-            "rate": self.rate,
-        }
-
 
 def _warn_if_stiff(p, w0, dt):
     try:
@@ -201,16 +191,39 @@ def simulate_langevin(p, w0, params):
     return Path(np.arange(n + 1) * params.dt, out)
 
 
-def first_passage(p, w0, target_center, radius, params, n_runs):
-    """First-passage times into the ball |w - target| <= radius.
+def _passage(advance, reached, W, n_steps, block):
+    """First passage of the lockstep runs W (R, d) into a target.
 
-    The one-cell case of ``first_passage_many``: its EscapeStats, or its
-    error raised.
+    ``advance(W, runs, k0, m)`` gives steps k0+1..k0+m, (m, len(runs), d),
+    of the runs ``runs`` (indices into W) now at W; ``reached`` maps
+    states (m, R', d) to bools (m, R').  A run stops at its passage or its
+    first non-finite state; its later steps are discarded, finite or not.
+    Returns per run the passage step (0 for a start in the target) and the
+    non-finite step it stopped at, each -1 for none.
     """
-    (out,) = first_passage_many(p, w0, target_center, radius, [params], n_runs)
-    if isinstance(out, Exception):
-        raise out
-    return out
+    passed_at = np.full(len(W), -1, dtype=np.int64)
+    bad_at = passed_at.copy()
+    with np.errstate(all="ignore"):
+        start = reached(W[None])[0]
+    passed_at[start] = 0
+    W, runs, k0 = W[~start], np.flatnonzero(~start), 0
+    while runs.size and k0 < n_steps:
+        m = min(block, n_steps - k0)
+        traj = advance(W, runs, k0, m)
+        bad = ~np.isfinite(traj).all(axis=2)
+        with np.errstate(all="ignore"):
+            stop = reached(traj) | bad
+        if stop.any():
+            done = stop.any(axis=0)
+            at = stop.argmax(axis=0)[done]
+            ended, diverged = runs[done], bad[at, np.flatnonzero(done)]
+            passed_at[ended[~diverged]] = k0 + at[~diverged] + 1
+            bad_at[ended[diverged]] = k0 + at[diverged] + 1
+            W, runs = traj[-1][~done], runs[~done]
+        else:
+            W = traj[-1]
+        k0 += m
+    return passed_at, bad_at
 
 
 def first_passage_many(p, w0, target_center, radius, cells, n_runs):
@@ -228,9 +241,9 @@ def first_passage_many(p, w0, target_center, radius, cells, n_runs):
 
     Returns one entry per cell: its EscapeStats, or the error that cell
     alone raises -- a SimulationError when all its runs censor (suggesting
-    a longer budget or larger D), a NumericalError naming the step at
-    which one of its walkers turned non-finite before passage.  A failed
-    cell leaves the others running.
+    a longer budget or larger D), a NumericalError naming the earliest
+    step at which one of its walkers turned non-finite before passage.  A
+    failed cell leaves the others running.
     """
     w0 = check_point(p, w0)
     target = check_point(p, target_center)
@@ -246,44 +259,26 @@ def first_passage_many(p, w0, target_center, radius, cells, n_runs):
     _warn_if_stiff(p, w0, dt)
 
     r2 = radius * radius
-    if float(np.sum((w0 - target) ** 2)) <= r2:
-        return [EscapeStats.from_times([0.0] * n_runs, n_runs) for _ in cells]
-
-    out = [None] * len(cells)
     gens = [stream(c.seed, j) for c in cells for j in range(n_runs)]
     amps = np.repeat([c.amplitude for c in cells], n_runs)
-    cell_of = np.repeat(np.arange(len(cells)), n_runs)
-    W, runs = np.tile(w0, (len(gens), 1)), np.arange(len(gens))
-    passed_at = np.full(len(gens), -1, dtype=np.int64)
-    block = max(1, _NOISE_CHUNK // len(cells))  # no more states than one cell's full block
-    k0 = 0
-    while runs.size and k0 < n_steps:
-        m = min(block, n_steps - k0)
-        traj = _langevin_block(p, W, [gens[i] for i in runs], amps[runs], dt, m)
-        with np.errstate(over="ignore"):
-            hit = np.sum((traj - target) ** 2, axis=2) <= r2  # (steps, runs)
-        first, passed = hit.argmax(axis=0), hit.any(axis=0)
-        last = np.where(passed, first, m)  # later steps are discarded, finite or not
-        bad = ~np.isfinite(traj).all(2) & (np.arange(m)[:, None] <= last)
-        done = passed
-        if bad.any():
-            bad_run, cell = bad.any(axis=0), cell_of[runs]
-            bad_at = np.where(bad_run, bad.argmax(axis=0), m)
-            for c in np.unique(cell[bad_run]):
-                step = k0 + int(bad_at[cell == c].min()) + 1
-                out[c] = NumericalError(f"non-finite ensemble state at step {step}")
-                done = done | (cell == c)
-        passed_at[runs[passed]] = k0 + first[passed] + 1
-        W, runs = traj[-1][~done], runs[~done]
-        k0 += m
-    for c in range(len(cells)):
-        if out[c] is None:
-            mine = passed_at[c * n_runs:(c + 1) * n_runs]
-            times = mine[mine >= 0] * dt
-            out[c] = EscapeStats.from_times(times.tolist(), n_runs) if times.size else SimulationError(
+    passed_at, bad_at = _passage(
+        lambda W, runs, k0, m: _langevin_block(p, W, [gens[i] for i in runs], amps[runs], dt, m),
+        lambda S: np.sum((S - target) ** 2, axis=2) <= r2,
+        np.tile(w0, (len(gens), 1)), n_steps,
+        max(1, _NOISE_CHUNK // len(cells)),  # no more states than one cell's full block
+    )
+    out = []
+    for passed, bad in zip(passed_at.reshape(-1, n_runs), bad_at.reshape(-1, n_runs)):
+        times = passed[passed >= 0] * dt
+        if (bad >= 0).any():
+            out.append(NumericalError(f"non-finite ensemble state at step {bad[bad >= 0].min()}"))
+        elif times.size:
+            out.append(EscapeStats.from_times(times.tolist(), n_runs))
+        else:
+            out.append(SimulationError(
                 f"all {n_runs} runs censored at {n_steps} steps; "
                 "increase max_steps or D, or move the target"
-            )
+            ))
     return out
 
 
@@ -420,26 +415,13 @@ def convergence_time(task, w0, threshold, cfg, n_runs, seed):
         raise ContractError("threshold must be finite")
     if n_runs < 1:
         raise ContractError("n_runs must be >= 1")
-    if tasklib.loss(task, w0) <= threshold:
-        return EscapeStats.from_times([0.0] * n_runs, n_runs)
     step = _sgd_stepper(task, cfg, [stream(seed, i) for i in range(n_runs)])
-    W = np.tile(w0, (n_runs, 1))
-    runs = np.arange(n_runs)
-    passed_at = np.zeros(n_runs, dtype=np.int64)
-    for k in range(cfg.max_steps):
-        W = step(W, runs, k)[1]
-        finite = np.isfinite(W).all(axis=1)
-        if not finite.all():
-            W, runs = W[finite], runs[finite]
-            if not runs.size:
-                break
-        hit = tasklib.loss_many(task, W) <= threshold
-        if hit.any():
-            passed_at[runs[hit]] = k + 1
-            W, runs = W[~hit], runs[~hit]
-            if not runs.size:
-                break
-    times = passed_at[passed_at > 0] * cfg.eta
+    passed_at, _ = _passage(
+        lambda W, runs, k0, m: step(W, runs, k0)[1][None],  # m is 1
+        lambda S: (tasklib.loss_many(task, S[0]) <= threshold)[None],
+        np.tile(w0, (n_runs, 1)), cfg.max_steps, 1,
+    )
+    times = passed_at[passed_at >= 0] * cfg.eta
     if not times.size:
         raise SimulationError(
             f"no run reached threshold {threshold:.4g} within {cfg.max_steps} steps"

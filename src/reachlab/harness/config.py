@@ -246,11 +246,17 @@ KINDS = tuple(_SCHEMAS)
 def _cross_validate(seed, p):
     """The checks that relate keys to each other, and the nested builds."""
     if "potential" in p:
-        dim = check_potential(p["potential"]).dim
+        pot = check_potential(p["potential"])
         a, b = ("w0", "target") if "w0" in p else ("start", "end")
-        if len(p[a]) != dim or len(p[b]) != dim:
-            raise ConfigError(f"{a}/{b} must have the potential's dimension ({dim})")
+        if len(p[a]) != pot.dim or len(p[b]) != pot.dim:
+            raise ConfigError(f"{a}/{b} must have the potential's dimension ({pot.dim})")
     if "w0" in p:
+        import numpy as np
+
+        with np.errstate(all="ignore"):  # overflow here is the error reported below
+            finite = math.isfinite(pot.value(p["w0"])) and np.isfinite(pot.grad(p["w0"])).all()
+        if not finite:
+            raise ConfigError("w0: the potential and its gradient must be finite there")
         if math.dist(p["w0"], p["target"]) <= p["radius"]:
             raise ConfigError("w0 lies inside the target ball; every passage time would be 0")
         if not math.isfinite(p["radius"] * p["radius"]):

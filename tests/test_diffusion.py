@@ -15,7 +15,6 @@ from reachlab.diffusion import (
     SGDConfig,
     convergence_time,
     exact_minibatch_covariance,
-    first_passage,
     first_passage_many,
     noise_covariance,
     simulate_langevin,
@@ -116,7 +115,7 @@ def test_stiffness_check_does_not_swallow_a_broken_hessian():
     # only a failed eigendecomposition is skipped; a bug in the potential surfaces
     par = DiffusionParams(D=0.1, dt=0.01, max_steps=10, seed=0)
     with pytest.raises(TypeError, match="broken"):
-        first_passage(_BrokenHessian([1.0]), np.array([1.0]), np.array([0.0]), 0.1, par, 2)
+        first_passage_many(_BrokenHessian([1.0]), np.array([1.0]), np.array([0.0]), 0.1, [par], 2)
     with pytest.raises(TypeError, match="broken"):
         simulate_langevin(_BrokenHessian([1.0]), np.array([1.0]), par)
 
@@ -132,10 +131,18 @@ def test_langevin_divergence_names_the_step():
 # -- first passage -------------------------------------------------------------------
 
 
+def _sole(outs):
+    """The one cell's EscapeStats, or its error raised."""
+    (out,) = outs
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def test_first_passage_trivial_when_started_inside():
     q = landscape.Quadratic([1.0])
     par = DiffusionParams(D=0.1, dt=0.01, max_steps=100, seed=0)
-    es = first_passage(q, np.array([0.0]), np.array([0.05]), 0.1, par, n_runs=5)
+    es = _sole(first_passage_many(q, np.array([0.0]), np.array([0.05]), 0.1, [par], n_runs=5))
     assert np.array_equal(es.samples, np.zeros(5))
     assert es.mean == 0.0
     assert es.n_censored == 0
@@ -145,7 +152,7 @@ def test_first_passage_trivial_when_started_inside():
 def test_first_passage_crosses_the_double_well():
     dw = landscape.DoubleWell1D()
     par = DiffusionParams(D=0.2, dt=1e-3, max_steps=200_000, seed=1)
-    es = first_passage(dw, np.array([-1.0]), np.array([1.0]), 0.1, par, n_runs=8)
+    es = _sole(first_passage_many(dw, np.array([-1.0]), np.array([1.0]), 0.1, [par], n_runs=8))
     assert es.n_censored == 0
     assert es.samples.size == 8
     assert es.mean > 0
@@ -156,12 +163,12 @@ def test_first_passage_rejects_bad_arguments():
     q = landscape.Quadratic([1.0])
     par = DiffusionParams(D=0.1, dt=0.01, max_steps=100, seed=0)
     with pytest.raises(ContractError):
-        first_passage(q, np.array([0.0]), np.array([1.0]), -0.1, par, n_runs=2)
+        first_passage_many(q, np.array([0.0]), np.array([1.0]), -0.1, [par], n_runs=2)
     with pytest.raises(ContractError):
-        first_passage(q, np.array([0.0]), np.array([1.0]), 0.1, par, n_runs=0)
+        first_passage_many(q, np.array([0.0]), np.array([1.0]), 0.1, [par], n_runs=0)
     # squared, this radius is inf, and a start 1e200 away would count as inside
     with pytest.raises(ContractError, match="finite square"):
-        first_passage(q, np.array([-1e200]), np.array([1.0]), 2e154, par, n_runs=2)
+        first_passage_many(q, np.array([-1e200]), np.array([1.0]), 2e154, [par], n_runs=2)
 
 
 def test_first_passage_errors_when_every_run_censors():
@@ -169,7 +176,7 @@ def test_first_passage_errors_when_every_run_censors():
     q = landscape.Quadratic([5.0])
     par = DiffusionParams(D=0.0, dt=0.01, max_steps=500, seed=0)
     with pytest.raises(SimulationError, match="censored"):
-        first_passage(q, np.array([1.0]), np.array([3.0]), 0.05, par, n_runs=3)
+        _sole(first_passage_many(q, np.array([1.0]), np.array([3.0]), 0.05, [par], n_runs=3))
 
 
 def test_escape_stats_mean_is_conditional_on_passage():
@@ -179,9 +186,8 @@ def test_escape_stats_mean_is_conditional_on_passage():
     assert es.std == pytest.approx(np.sqrt(2.0))
     assert es.rate == pytest.approx(1.0 / 3.0)
     assert es.median == 3.0
-    d = es.to_dict()
-    assert d["samples"] == [2.0, 4.0]
-    assert d["n_censored"] == 3
+    assert es.samples.tolist() == [2.0, 4.0]
+    assert es.n_runs == 5
 
 
 def test_escape_stats_all_censored_is_nan_not_zero():
@@ -215,7 +221,7 @@ def _reference_langevin(p, w0, params):
 
 
 def _reference_passage(p, w0, target, radius, params, n_runs):
-    """``first_passage`` as a lockstep loop that gathers and tests every step.
+    """One ``first_passage_many`` cell as a lockstep loop that tests every step.
 
     Returns (sorted passage times, censored count); raises like the
     simulator when every run censors or the ensemble turns non-finite.
@@ -255,16 +261,16 @@ def _reference_passage(p, w0, target, radius, params, n_runs):
 
 
 def _assert_passage_matches(p, w0, target, radius, params, n_runs):
-    """first_passage equals the reference sample for sample, errors included."""
+    """A one-cell first_passage_many equals the reference sample for sample, errors included."""
     try:
         times, n_cens = _reference_passage(p, w0, target, radius, params, n_runs)
     except (NumericalError, SimulationError) as exc:
         with pytest.raises(type(exc)) as got:
-            first_passage(p, w0, target, radius, params, n_runs)
+            _sole(first_passage_many(p, w0, target, radius, [params], n_runs))
         if isinstance(exc, NumericalError):
             assert str(got.value) == str(exc)
         return None
-    es = first_passage(p, w0, target, radius, params, n_runs)
+    es = _sole(first_passage_many(p, w0, target, radius, [params], n_runs))
     assert np.array_equal(es.samples, np.array(times))
     assert es.n_censored == n_cens
     return es
@@ -361,11 +367,15 @@ def test_stacked_cells_match_their_own_per_step_loops(Ds, n_runs, dt, target, ra
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_a_failed_cell_leaves_the_others_running():
+    # at D = 4500 three walkers pass and three turn non-finite, at steps
+    # 43, 142 and 33: the cell's error names the earliest of these
     dw = landscape.DoubleWell1D()
-    cells = [DiffusionParams(D=D, dt=5e-3, max_steps=3000, seed=c) for c, D in enumerate([0.3, 5e3, 0.0, 0.25])]
+    Ds = [0.3, 5e3, 0.0, 0.25, 4500.0]
+    cells = [DiffusionParams(D=D, dt=5e-3, max_steps=3000, seed=c) for c, D in enumerate(Ds)]
     got = _assert_cells_match(dw, np.array([-1.0]), np.array([1.0]), 0.1, cells, 6)
-    assert [type(out) for out in got] == [EscapeStats, NumericalError, SimulationError, EscapeStats]
+    assert [type(out) for out in got] == [EscapeStats, NumericalError, SimulationError, EscapeStats, NumericalError]
     assert str(got[1]).startswith("non-finite ensemble state at step ")
+    assert str(got[4]) == "non-finite ensemble state at step 33"
     assert str(got[2]) == "all 6 runs censored at 3000 steps; increase max_steps or D, or move the target"
     # a start inside the ball gives every cell time 0
     inside = first_passage_many(dw, np.array([-1.0]), np.array([-0.95]), 0.1, cells, 4)
@@ -427,7 +437,7 @@ def test_passage_edge_cases_match_the_per_step_loop():
     short = DiffusionParams(D=0.05, dt=5e-3, max_steps=1500, seed=0)
     assert _assert_passage_matches(dw, np.array([-1.0]), np.array([1.0]), 0.05, short, 5) is None
     with pytest.raises(SimulationError, match="censored"):
-        first_passage(dw, np.array([-1.0]), np.array([1.0]), 0.05, short, 5)
+        _sole(first_passage_many(dw, np.array([-1.0]), np.array([1.0]), 0.05, [short], 5))
 
 
 @pytest.mark.parametrize("q", [landscape.Quadratic([5.0])], ids=["vectorized"])
@@ -446,7 +456,7 @@ def test_divergence_names_the_reference_step(q, dt):
         with pytest.raises(NumericalError) as ref:
             _reference_passage(q, np.array([1.0]), np.array([1e9]), 0.1, par, 4)
         with pytest.raises(NumericalError) as got:
-            first_passage(q, np.array([1.0]), np.array([1e9]), 0.1, par, 4)
+            _sole(first_passage_many(q, np.array([1.0]), np.array([1e9]), 0.1, [par], 4))
         assert str(got.value) == str(ref.value)
     assert (int(str(got.value).split()[-1]) > diffusion._NOISE_CHUNK) == (dt == 0.5)
 
@@ -458,7 +468,7 @@ def test_steps_past_a_passage_may_diverge_quietly():
     par = DiffusionParams(D=0.0, dt=3.0, max_steps=2000, seed=0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        es = first_passage(q, np.array([1.0]), np.array([196.0]), 1.0, par, 3)
+        es = _sole(first_passage_many(q, np.array([1.0]), np.array([196.0]), 1.0, [par], 3))
     assert np.array_equal(es.samples, np.full(3, 6.0))
     assert [str(w.message) for w in caught if "unstable" not in str(w.message)] == []
 
@@ -466,10 +476,10 @@ def test_steps_past_a_passage_may_diverge_quietly():
 def test_finite_ensembles_raise_no_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        first_passage(
+        _sole(first_passage_many(
             landscape.DoubleWell1D(), np.array([-1.0]), np.array([1.0]), 0.1,
-            DiffusionParams(D=0.3, dt=5e-3, max_steps=3000, seed=0), 16,
-        )
+            [DiffusionParams(D=0.3, dt=5e-3, max_steps=3000, seed=0)], 16,
+        ))
         simulate_langevin(
             landscape.Quadratic([1.0]), np.zeros(1), DiffusionParams(D=0.3, dt=1e-2, max_steps=3000)
         )

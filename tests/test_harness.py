@@ -1221,10 +1221,13 @@ def test_cli_compares_huge_distances_without_overflow(tmp_path, capsys):
     cfgp = _write_json(tmp_path / "r.json", dict(KRAMERS_RAW, radius=2e154))
     assert cli_main(["kramers-sweep", "--config", cfgp, "--out", str(tmp_path / "r")]) == 2
     assert "inside the target" in capsys.readouterr().err
+    # and a start that far out has no finite potential: rejected, unwarned
     raw = dict(KRAMERS_RAW, w0=[-1e200], max_steps=200, n_runs=2)
     cfgp = _write_json(tmp_path / "w.json", raw)
-    assert cli_main(["kramers-sweep", "--config", cfgp, "--out", str(tmp_path / "w")]) == 0
-    assert "3 cell(s) flagged" in capsys.readouterr().out
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["kramers-sweep", "--config", cfgp, "--out", str(tmp_path / "w")]) == 2
+    assert "w0: the potential and its gradient must be finite" in capsys.readouterr().err
 
 
 def test_cli_flags_censored_cells_but_still_succeeds(tmp_path, capsys):
