@@ -381,15 +381,11 @@ def transition_ratio(p, w0, candidates, radius, T, params, n_runs):
 class ChannelMarginalReport:
     tv_corrected: float
     tv_uncorrected: float
-    u_variance: float
     equilibrated: bool
     n_samples: int
-    min_b: float
-    max_a_curv: float
     bin_edges: np.ndarray
     hist: np.ndarray          # observed bin probabilities
     corrected: np.ndarray     # predicted bin probabilities, exp(-a/D)/sqrt(b)
-    uncorrected: np.ndarray   # predicted bin probabilities, exp(-a/D)
 
 
 def _binned_density(fn, edges, sub=16):
@@ -461,13 +457,9 @@ def channel_marginal_check(ch, u0, D, params, n_runs, bins):
     return ChannelMarginalReport(
         tv_corrected=float(0.5 * np.abs(hist - corrected).sum()),
         tv_uncorrected=float(0.5 * np.abs(hist - uncorrected).sum()),
-        u_variance=float(samples.var()),
         equilibrated=equilibrated,
         n_samples=int(samples.size),
-        min_b=min_b,
-        max_a_curv=max_a2,
         bin_edges=edges,
         hist=hist,
         corrected=corrected,
-        uncorrected=uncorrected,
     )

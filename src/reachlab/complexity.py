@@ -376,9 +376,6 @@ class StructureCurve:
         lo = self.expected_loss()
         return bool(np.all(np.diff(lo) <= tol))
 
-    def to_dict(self):
-        return {"lambda2": self.lambda2, "records": self.records}
-
 
 def structure_curve(task, beta_grid, lambda2, trainer):
     """Trace (KL, expected loss) along a descending beta grid.

@@ -2,10 +2,10 @@
 
 The continuous dynamics dw = -grad U dt + sqrt(2D) dB are integrated with
 Euler-Maruyama at step dt, so one unit of diffusion time is 1/dt steps.
-SGD runs in its own clock: a step of size eta advances time by eta, which
-is the unit used for all convergence times.  Minibatches are drawn with
-replacement, so the one-step gradient noise covariance is exactly
-Sigma_1 / B (per-sample covariance over batch size).
+SGD runs only as an ensemble, in its own clock: a step of size eta
+advances time by eta, which is the unit used for all convergence times.
+Minibatches are drawn with replacement, so the one-step gradient noise
+covariance is exactly Sigma_1 / B (per-sample covariance over batch size).
 
 Ensembles (first passage, convergence times) give run i the Philox stream
 (seed, i), so their statistics do not depend on execution order and are
@@ -67,13 +67,14 @@ class Path:
 
     times: np.ndarray
     points: np.ndarray
-    truncated: bool = False
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
         W = np.asarray(self.points, dtype=float)
         if t.ndim != 1 or W.ndim != 2 or W.shape[0] != t.size or t.size < 2:
             raise ContractError("need times (n,) and points (n, d) with n >= 2")
+        if not (np.isfinite(t).all() and np.isfinite(W).all()):
+            raise ContractError("times and points must be finite")
         dts = np.diff(t)
         # spacing tolerance scales with |t|: at a million steps the grid
         # values themselves carry ulp-level accumulation error
@@ -94,7 +95,7 @@ class Path:
         return self.points.shape[1]
 
     def reversed(self):
-        return Path(self.times.copy(), self.points[::-1].copy(), self.truncated)
+        return Path(self.times.copy(), self.points[::-1].copy())
 
 
 @dataclass(frozen=True)
@@ -304,10 +305,10 @@ class SGDConfig:
 def _sgd_stepper(task, cfg, gens):
     """Batched SGD for an ensemble whose run i draws from ``gens[i]``.
 
-    Returns step(W, runs, k) -> (batch CE per run, updated W): SGD step k
-    (counted from 0) of the runs ``runs`` (indices into ``gens``), whose
-    weights are the rows of W.  Each run draws its minibatches in chunks
-    of _NOISE_CHUNK steps, which reproduces the per-step draws.
+    Returns step(W, runs, k) -> updated W: SGD step k (counted from 0) of
+    the runs ``runs`` (indices into ``gens``), whose weights are the rows
+    of W.  Each run draws its minibatches in chunks of _NOISE_CHUNK steps,
+    which reproduces the per-step draws.
     """
     from . import tasks as tasklib
 
@@ -321,38 +322,10 @@ def _sgd_stepper(task, cfg, gens):
             m = min(_NOISE_CHUNK, cfg.max_steps - k)
             for i in runs:
                 buf[i, :m] = gens[i].integers(0, n, size=(m, B))
-        ce, G = tasklib.batch_loss_grad_many(task, W, buf[runs, c])
-        return ce, W - cfg.eta * (G + gamma * W)
+        _, G = tasklib.batch_loss_grad_many(task, W, buf[runs, c])
+        return W - cfg.eta * (G + gamma * W)
 
     return step
-
-
-def simulate_sgd(task, w0, cfg, seed):
-    """Minibatch SGD path in SGD time (step k sits at time k * eta).
-
-    Divergence (batch loss above 1e6, or non-finite state) truncates the
-    path and sets its ``truncated`` flag instead of raising: sweeps want
-    to record the blow-up, not die on it.
-    """
-    w = np.asarray(w0, dtype=float).copy()
-    if w.shape != (task.model.n_params,):
-        raise ContractError(f"w0 must have shape ({task.model.n_params},)")
-    step = _sgd_stepper(task, cfg, [stream(seed)])
-    runs = np.zeros(1, dtype=np.intp)
-    out = [w]
-    truncated = False
-    W = w[None]
-    for k in range(cfg.max_steps):
-        ce, W = step(W, runs, k)
-        if not np.isfinite(ce[0]) or ce[0] > 1e6 or not np.all(np.isfinite(W)):
-            truncated = True
-            break
-        out.append(W[0])
-    W = np.array(out)
-    times = np.arange(W.shape[0]) * cfg.eta
-    if W.shape[0] < 2:
-        raise NumericalError("SGD diverged on the first step")
-    return Path(times, W, truncated=truncated)
 
 
 def noise_covariance(task, w, batch_size, n_draws, seed):
@@ -411,13 +384,15 @@ def convergence_time(task, w0, threshold, cfg, n_runs, seed):
     from . import tasks as tasklib
 
     w0 = np.asarray(w0, dtype=float)
+    if w0.shape != (task.model.n_params,) or not np.isfinite(w0).all():
+        raise ContractError(f"w0 must be a finite point of shape ({task.model.n_params},)")
     if not np.isfinite(threshold):
         raise ContractError("threshold must be finite")
     if n_runs < 1:
         raise ContractError("n_runs must be >= 1")
     step = _sgd_stepper(task, cfg, [stream(seed, i) for i in range(n_runs)])
     passed_at, _ = _passage(
-        lambda W, runs, k0, m: step(W, runs, k0)[1][None],  # m is 1
+        lambda W, runs, k0, m: step(W, runs, k0)[None],  # m is 1
         lambda S: (tasklib.loss_many(task, S[0]) <= threshold)[None],
         np.tile(w0, (n_runs, 1)), cfg.max_steps, 1,
     )

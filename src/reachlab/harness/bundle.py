@@ -33,10 +33,6 @@ class ResultBundle:
         d.pop("timing")
         return d
 
-    def same_results(self, other):
-        """True when the two bundles differ at most in timing metadata."""
-        return self.result_fields() == other.result_fields()
-
     def save(self, out_dir):
         """Write bundle.json through a temp file, so it is never seen half written."""
         os.makedirs(out_dir, exist_ok=True)

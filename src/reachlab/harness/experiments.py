@@ -37,13 +37,7 @@ from .._version import __version__
 from ..errors import ContractError, NumericalError, SimulationError, TrainingDivergedError
 from ..rng import stream
 from .bundle import ResultBundle, timing_stamp
-from .config import (
-    build_model,
-    build_sgd,
-    build_trainer,
-    check_potential,
-    parse_config,
-)
+from .config import build_model, build_sgd, build_trainer, check_potential
 from .io import CSV_SCHEMAS, PlotSet, canonical_json, write_atomic, write_csv, write_path_csv
 
 # spawn-path tags under the experiment seed; one tag per purpose keeps
@@ -747,10 +741,3 @@ def run_experiment(cfg, out_dir, workers=1):
     )
     bundle.save(out_dir)
     return bundle
-
-
-def rerun(bundle_path, out_dir, workers=1):
-    """Re-execute a bundle from its embedded config snapshot."""
-    prev = ResultBundle.load(bundle_path)
-    cfg = parse_config(prev.kind, dict(prev.config))
-    return run_experiment(cfg, out_dir, workers=workers)

@@ -4,10 +4,12 @@ Weight vectors are plain 1-D numpy arrays of length ``dim``; nothing is
 wrapped.  A potential is written once, in batched form: ``value_many``,
 ``grad_many`` and ``hessian_many`` map a batch of shape (n, dim) row by
 row, and ensemble simulations and the action descent call them directly.
-The single-point ``value`` / ``grad`` / ``hessian`` / ``laplacian`` are
-their one-row case, so a point and row k of a batch holding it give the
-same bits.  The path potential V = 0.5 |grad U|^2 - D lap U of the
-action is built from these by ``action.om_action``.
+The Laplacian and its gradient exist in batched form only
+(``laplacian_many``, ``grad_laplacian_many``).  The single-point
+``value`` / ``grad`` / ``hessian`` are the one-row case of the batched
+forms, so a point and row k of a batch holding it give the same bits.
+The path potential V = 0.5 |grad U|^2 - D lap U of the action is built
+from these by ``action.om_action``.
 """
 
 from abc import ABC, abstractmethod
@@ -28,8 +30,8 @@ class Potential(ABC):
     rejects one through ``_check_finite_many``.  ``laplacian_many``
     defaults to the trace of ``hessian_many`` and ``grad_laplacian_many``
     to a central difference of that trace; subclasses with cheaper forms
-    override them.  The single-point methods are the one-row case of the
-    batched ones and are not overridden.
+    override them.  The single-point ``value``, ``grad`` and ``hessian``
+    are the one-row case of the batched ones and are not overridden.
     """
 
     dim: int
@@ -77,13 +79,6 @@ class Potential(ABC):
     def hessian(self, w):
         """Hessian at ``w``, shape (dim, dim)."""
         return self.hessian_many(check_point(self, w)[None])[0]
-
-    def laplacian(self, w):
-        return float(self.laplacian_many(check_point(self, w)[None])[0])
-
-    def grad_laplacian(self, w):
-        """Gradient of lap U at ``w``, needed by critical-path equations."""
-        return self.grad_laplacian_many(check_point(self, w)[None])[0]
 
     def _check_many(self, W):
         W = np.asarray(W, dtype=float)
@@ -134,16 +129,9 @@ class Quadratic(Potential):
     def grad_many(self, W):
         return self.a * self._check_many(W)
 
-    def laplacian_many(self, W):
-        W = self._check_many(W)
-        return np.full(W.shape[0], float(np.sum(self.a)))
-
     def hessian_many(self, W):
         W = self._check_finite_many(W)
         return np.tile(np.diag(self.a), (W.shape[0], 1, 1))
-
-    def grad_laplacian_many(self, W):
-        return np.zeros(self._check_finite_many(W).shape)
 
 
 class DoubleWell1D(Potential):

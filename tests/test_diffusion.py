@@ -18,7 +18,6 @@ from reachlab.diffusion import (
     first_passage_many,
     noise_covariance,
     simulate_langevin,
-    simulate_sgd,
 )
 from reachlab.errors import ContractError, NumericalError, SimulationError
 from reachlab.rng import stream
@@ -36,6 +35,11 @@ def test_path_basic_contracts():
         Path(np.array([0.0, 1.0, 1.5]), np.zeros((3, 1)))
     with pytest.raises(ContractError):
         Path(np.array([1.0, 0.5]), np.zeros((2, 1)))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ContractError, match="finite"):
+            Path(np.array([0.0, bad, 2.0]), np.zeros((3, 1)))
+        with pytest.raises(ContractError, match="finite"):
+            Path(np.array([0.0, 1.0, 2.0]), np.array([[0.0], [bad], [1.0]]))
     p = Path(np.array([0.0, 0.5, 1.0]), np.zeros((3, 2)))
     assert p.dt == 0.5
     assert p.dim == 2
@@ -500,37 +504,10 @@ def test_sgd_config_contracts():
             SGDConfig(**{"eta": 0.1, "batch_size": 4, "max_steps": 10, **kw})
 
 
-def test_sgd_runs_in_its_own_clock(separable):
-    cfg = SGDConfig(eta=0.05, batch_size=8, max_steps=100)
-    p = simulate_sgd(separable, np.array([0.0]), cfg, seed=3)
-    assert p.times.size == 101
-    assert p.dt == pytest.approx(0.05)
-    assert not p.truncated
-
-
-def test_sgd_deterministic_in_seed(separable):
-    cfg = SGDConfig(eta=0.05, batch_size=8, max_steps=200)
-    a = simulate_sgd(separable, np.array([0.0]), cfg, seed=3)
-    b = simulate_sgd(separable, np.array([0.0]), cfg, seed=3)
-    c = simulate_sgd(separable, np.array([0.0]), cfg, seed=4)
-    assert np.array_equal(a.points, b.points)
-    assert not np.array_equal(a.points, c.points)
-
-
-def test_sgd_divergence_truncates_instead_of_raising():
-    d = tasks.generate_blobs(2, 40, 1, 6.0, seed=2)
-    m = tasks.ModelSpec("mlp-1-hidden", 1, 2, hidden=6, activation="softplus")
-    t = tasks.Task(d, m)
-    w0 = 0.5 * np.random.default_rng(0).standard_normal(m.n_params)
-    p = simulate_sgd(t, w0, SGDConfig(eta=1e6, batch_size=8, max_steps=500), seed=1)
-    assert p.truncated
-    assert p.times.size < 501
-
-
 def test_sgd_rejects_wrong_start_shape(separable):
     cfg = SGDConfig(eta=0.05, batch_size=8, max_steps=10)
-    with pytest.raises(ContractError):
-        simulate_sgd(separable, np.zeros(3), cfg, seed=0)
+    with pytest.raises(ContractError, match="w0"):
+        convergence_time(separable, np.zeros(3), 0.5, cfg, 2, seed=0)
 
 
 # -- gradient noise -------------------------------------------------------------------
@@ -606,6 +583,12 @@ def test_convergence_time_contracts(separable):
         convergence_time(separable, np.array([0.0]), np.nan, cfg, 2, seed=0)
     with pytest.raises(ContractError):
         convergence_time(separable, np.array([0.0]), 0.5, cfg, 0, seed=0)
+    # a non-finite start is refused before any step, without warnings
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ContractError, match="w0"):
+                convergence_time(separable, np.array([bad]), 0.5, cfg, 2, seed=0)
 
 
 def _reference_convergence(task, w0, threshold, cfg, n_runs, seed):

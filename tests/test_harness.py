@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 import warnings
@@ -623,7 +624,7 @@ def test_kramers_runner_outputs(tmp_path):
     man = json.loads((tmp_path / "plots" / "manifest.json").read_text())
     assert {e["file"] for e in man["files"]} == {"arrhenius.dat", "arrhenius_fit.dat"}
     again = ResultBundle.load(str(tmp_path / "bundle.json"))
-    assert again.same_results(b)
+    assert again.result_fields() == b.result_fields()
 
 
 def test_label_runner_outputs(tmp_path):
@@ -690,13 +691,13 @@ def test_finetune_runner_direction_and_checkpoints(tmp_path):
     # a second run over the same directory reuses every cell
     b2 = experiments.run_experiment(cfg, str(out))
     assert b2.timing["cells_reused"] == 4
-    assert b2.same_results(b)
+    assert b2.result_fields() == b.result_fields()
 
     # invalidate one cell: only that one is recomputed, results unchanged
     os.remove(out / "checkpoint" / "cell_1_0.json")
     b3 = experiments.run_experiment(cfg, str(out))
     assert b3.timing["cells_reused"] == 3
-    assert b3.same_results(b)
+    assert b3.result_fields() == b.result_fields()
 
     # a different config hash ignores stale checkpoints entirely
     cfg2 = parse_config("finetune-matrix", dict(FINETUNE_RAW, seed=5))
@@ -715,7 +716,7 @@ def test_finetune_truncated_checkpoint_is_recomputed(tmp_path):
     (ck / "cell_0_1.json").write_text(whole[: len(whole) // 2])
     b2 = experiments.run_experiment(cfg, str(out))
     assert b2.timing["cells_reused"] == 3
-    assert b2.same_results(b)
+    assert b2.result_fields() == b.result_fields()
     assert (ck / "cell_0_1.json").read_text() == whole
     assert len(os.listdir(ck)) == 4  # no temporary files left behind
 
@@ -738,7 +739,7 @@ def test_finetune_abort_keeps_the_cells_it_finished(tmp_path, monkeypatch):
     assert sorted(os.listdir(out / "checkpoint")) == ["cell_0_0.json", "cell_0_1.json"]
     b = experiments.run_experiment(cfg, str(out))
     assert b.timing["cells_reused"] == 2
-    assert b.same_results(experiments.run_experiment(cfg, str(tmp_path / "fresh")))
+    assert b.result_fields() == experiments.run_experiment(cfg, str(tmp_path / "fresh")).result_fields()
 
 
 def test_bundles_are_deterministic_across_workers(tmp_path):
@@ -759,8 +760,9 @@ def test_bundles_are_deterministic_across_workers(tmp_path):
 def test_rerun_reproduces_a_bundle_from_its_snapshot(tmp_path):
     cfg = parse_config("kramers-sweep", dict(KRAMERS_RAW))
     b1 = experiments.run_experiment(cfg, str(tmp_path / "a"))
-    b2 = experiments.rerun(str(tmp_path / "a" / "bundle.json"), str(tmp_path / "b"))
-    assert b2.same_results(b1)
+    prev = ResultBundle.load(str(tmp_path / "a" / "bundle.json"))
+    b2 = experiments.run_experiment(parse_config(prev.kind, dict(prev.config)), str(tmp_path / "b"))
+    assert b2.result_fields() == b1.result_fields()
     assert b2.timing != {} and b1.timing != {}
 
 
@@ -1302,3 +1304,38 @@ def test_cli_rerun_into_a_used_directory_replaces_the_outcome(tmp_path, monkeypa
 
     assert cli_main(argv) == 0
     assert (out / "bundle.json").exists() and not (out / "aborted.json").exists()
+
+
+# -- the benchmark's use of the package -------------------------------------------------
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+
+
+def _run_bench_script(args, cwd):
+    src = os.path.dirname(os.path.dirname(reachlab.__file__))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.mark.parametrize("kind", ["kramers-sweep", "label-sweep", "action-check", "structure-curve"])
+def test_bench_tracer_runs_every_workload_kind(tmp_path, kind):
+    # bench/tracer.py wraps package functions by name (complexity._gd and
+    # the convergence bool at its [1], tasks.loss, ...): a change that
+    # breaks it must fail here, not first in the benchmark
+    cfg = _write_json(tmp_path / "cfg.json", MINI_RAW[kind])
+    trace = tmp_path / "trace.json"
+    run = _run_bench_script(
+        [os.path.join(BENCH, "tracer.py"), str(trace), "--", kind, "--config", cfg,
+         "--out", str(tmp_path / "out")], tmp_path,
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(trace.read_text())["stats"]
+
+
+def test_bench_kernels_times_every_kernel(tmp_path):
+    run = _run_bench_script([os.path.join(BENCH, "kernels.py")], tmp_path)
+    assert run.returncode == 0, run.stderr
+    kernels = runpy.run_path(os.path.join(BENCH, "kernels.py"))["KERNELS"]
+    assert set(json.loads(run.stdout)) == set(kernels)

@@ -17,11 +17,6 @@ READERS = sorted(SRC.rglob("*.py")) + sorted(ROOT.glob("demos/*.py")) + sorted(R
 UNREAD = {
     "action.transition_ratio": "ROADMAP item 6 gates it",
     "rates.kramers_rate_complexity": "ROADMAP item 8 gates it",
-    "diffusion.simulate_sgd": "ROADMAP item 10 gates it",
-    "harness.experiments.rerun": "the byte-for-byte rerun check",
-    "harness.bundle.ResultBundle.same_results": "the byte-for-byte rerun check",
-    "landscape.Potential.laplacian": "the one-row case, which bench/tracer.py counts by name",
-    "landscape.Potential.grad_laplacian": "the one-row case, which bench/tracer.py counts by name",
 }
 
 

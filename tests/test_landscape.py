@@ -33,11 +33,11 @@ def loop_hessian_many(p, W):
 
 
 def loop_grad_laplacian_many(p, W):
-    """Per-point reference: the one-point ``grad_laplacian`` where the class
-    overrides ``grad_laplacian_many``, else the central difference of the
-    one-point Hessian trace that the batched default differentiates."""
+    """Per-point reference: the one-row ``grad_laplacian_many`` where the
+    class overrides it, else the central difference of the one-point
+    Hessian trace that the batched default differentiates."""
     if "grad_laplacian_many" in vars(type(p)):
-        return np.stack([p.grad_laplacian(w) for w in W])
+        return np.stack([p.grad_laplacian_many(w[None])[0] for w in W])
     h = 1e-5
     out = np.empty(W.shape)
     for k, w in enumerate(W):
@@ -88,7 +88,7 @@ def test_derivatives_match_finite_differences(pot):
         w = rng.uniform(-1.5, 1.5, pot.dim)
         assert np.allclose(pot.grad(w), fd_grad(pot, w), atol=1e-5)
         assert np.allclose(pot.hessian(w), fd_hess(pot, w), atol=1e-4)
-        assert np.isclose(pot.laplacian(w), np.trace(pot.hessian(w)), atol=1e-10)
+        assert np.isclose(pot.laplacian_many(w[None])[0], np.trace(pot.hessian(w)), atol=1e-10)
 
 
 @pytest.mark.parametrize("pot", ALL_POTS, ids=lambda p: type(p).__name__)
@@ -102,11 +102,11 @@ def test_vectorized_forms_agree_pointwise(pot):
     for k in range(len(W)):
         assert np.array_equal(vals[k], pot.value(W[k]))
         assert np.array_equal(grads[k], pot.grad(W[k]))
-        assert np.array_equal(laps[k], pot.laplacian(W[k]))
+        assert np.array_equal(laps[k], pot.laplacian_many(W[k][None])[0])
     assert np.array_equal(pot.hessian_many(W), loop_hessian_many(pot, W))
     assert np.array_equal(pot.grad_laplacian_many(W), loop_grad_laplacian_many(pot, W))
     for k in range(len(W)):
-        assert np.array_equal(pot.grad_laplacian(W[k]), loop_grad_laplacian_many(pot, W[k:k + 1])[0])
+        assert np.array_equal(pot.grad_laplacian_many(W[k][None])[0], loop_grad_laplacian_many(pot, W[k:k + 1])[0])
 
 
 class Cubic3(landscape.Potential):
@@ -222,7 +222,6 @@ def test_builtin_batched_derivatives_never_call_the_scalar_forms(monkeypatch):
     classes = {type(landscape.from_config(cfg)) for cfg in _BUILTIN_CONFIGS.values()}
     for cls in classes:
         monkeypatch.setattr(cls, "hessian", scalar_called)
-        monkeypatch.setattr(cls, "grad_laplacian", scalar_called)
     for cfg in _BUILTIN_CONFIGS.values():
         pot = landscape.from_config(cfg)
         W = np.random.default_rng(5).uniform(-1.5, 1.5, (64, pot.dim))
@@ -253,6 +252,20 @@ def test_quadratic_zero_curvature_is_flat():
     w = np.array([2.0, -3.0])
     assert flat.value(w) == 0.0
     assert np.all(flat.grad(w) == 0.0)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_quadratic_laplacian_and_its_gradient_are_exact(d):
+    # Quadratic writes neither: the base trace of hessian_many must be
+    # sum(a) and the base central difference exactly +0.0, bit for bit
+    rng = np.random.default_rng(d)
+    a = rng.uniform(-3.0, 3.0, d)
+    a[rng.random(d) < 0.3] = 0.0
+    a[0] = 0.0
+    q = landscape.Quadratic(a)
+    W = rng.uniform(-2.0, 2.0, (7, d))
+    assert q.laplacian_many(W).tobytes() == np.full(7, np.sum(a)).tobytes()
+    assert q.grad_laplacian_many(W).tobytes() == np.zeros((7, d)).tobytes()
 
 
 def test_channel_requires_positive_stiffness():
