@@ -356,20 +356,21 @@ def train_minimizers(task, cfg, restarts, name="task", posterior=None):
 
 @dataclass(frozen=True)
 class StructureCurve:
-    """Loss-vs-KL tradeoff traced by a descending beta grid."""
+    """Loss-vs-KL tradeoff traced by a descending beta grid.
+
+    ``kl`` and ``expected_loss`` read the converged points, by rising KL.
+    """
 
     records: list  # dicts: beta, kl_nats, expected_loss, converged, n_iter
-    lambda2: float
 
-    def kl(self, converged_only=True):
-        return np.array([r["kl_nats"] for r in self._sel(converged_only)])
+    def kl(self):
+        return np.array([r["kl_nats"] for r in self._converged()])
 
-    def expected_loss(self, converged_only=True):
-        return np.array([r["expected_loss"] for r in self._sel(converged_only)])
+    def expected_loss(self):
+        return np.array([r["expected_loss"] for r in self._converged()])
 
-    def _sel(self, converged_only):
-        recs = [r for r in self.records if r["converged"] or not converged_only]
-        return sorted(recs, key=lambda r: r["kl_nats"])
+    def _converged(self):
+        return sorted((r for r in self.records if r["converged"]), key=lambda r: r["kl_nats"])
 
     def is_monotone(self, tol=1e-6):
         """Expected loss nonincreasing along increasing KL, within tol."""
@@ -406,7 +407,7 @@ def structure_curve(task, beta_grid, lambda2, trainer):
                 "n_iter": int(n_iter),
             }
         )
-    return StructureCurve(records, float(lambda2))
+    return StructureCurve(records)
 
 
 # -- task distances -----------------------------------------------------------

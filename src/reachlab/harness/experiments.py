@@ -15,13 +15,18 @@ written while the kind runs.
 
 Domain failures inside a cell (diverged training, an ensemble that
 never converges) flag that cell and the sweep continues; programming
-errors propagate and abort the run.
+errors propagate and abort the run.  ``_sweep`` returns one result per
+cell, ``None`` for a flagged one, and ``_collect`` makes every flag key:
+the cell's own key (``rho=0.3``, ``D=0.0001``, a task label), plus
+``#k``, k the cell's index, when the grid repeats that key.  A summary
+fit over points that ``rates.arrhenius_fit`` rejects is ``null``.
 
 Every kind steps ``diffusion``; the other science modules are imported
 by the functions that use them, so a run loads only what its kind runs
 (an action-check never loads ``tasks``, ``complexity`` or ``rates``).
 """
 
+import collections
 import contextlib
 import dataclasses
 import functools
@@ -70,11 +75,12 @@ def _finite_or_none(x):
 
 
 def _sweep(fn, cells, workers):
-    """Run ``fn`` over (flag key, args) pairs in order; returns (records, flags).
+    """Run ``fn`` over (flag key, args) pairs in order; returns (results, flags).
 
-    A cell that raises a domain error is flagged under its key and the
-    sweep continues.  A list of pairs rather than a dict, because a grid
-    may repeat a value.
+    One result per cell, in order: a cell that raises a domain error is
+    ``None`` there and flagged under its key (made unique by
+    ``_collect``), and the sweep continues.  A list of pairs rather than
+    a dict, because a grid may repeat a value.
     """
     pool = None
     if workers > 1 and len(cells) > 1:
@@ -82,15 +88,42 @@ def _sweep(fn, cells, workers):
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(max_workers=min(workers, len(cells)))
-    records, flags = [], {}
+    outs = []
     with pool or contextlib.nullcontext():
         calls = [pool.submit(fn, a).result if pool else functools.partial(fn, a) for _, a in cells]
-        for (key, _), call in zip(cells, calls):
+        for call in calls:
             try:
-                records.append(call())
+                outs.append(call())
             except _DOMAIN_ERRORS as exc:
-                flags[key] = f"{type(exc).__name__}: {exc}"
-    return records, flags
+                outs.append(exc)
+    return _collect([key for key, _ in cells], outs)
+
+
+def _collect(keys, outs):
+    """(results, flags) from one outcome per cell, a result or a domain error.
+
+    An error becomes ``None`` in results and a flag under the cell's key;
+    a key that ``keys`` repeats gains ``#k``, k the cell's index, so no
+    flag overwrites another.
+    """
+    counts = collections.Counter(keys)
+    results, flags = [], {}
+    for k, (key, out) in enumerate(zip(keys, outs)):
+        if isinstance(out, Exception):
+            flags[f"{key}#{k}" if counts[key] > 1 else key] = f"{type(out).__name__}: {out}"
+            out = None
+        results.append(out)
+    return results, flags
+
+
+def _arrhenius_or_none(points):
+    """``rates.arrhenius_fit(points)``, or None if it rejects them (too few, one x)."""
+    from .. import rates
+
+    try:
+        return rates.arrhenius_fit(points)
+    except ContractError:
+        return None
 
 
 def _plot(fname, rows, *columns):
@@ -116,7 +149,14 @@ def _spearman(xs, ys):
 # -- shared task construction --------------------------------------------------
 
 
-def _base_dataset(params, seed):
+def _task(params, seed, spec=None):
+    """The task of a spec: base blobs, class subset, label noise.
+
+    No spec gives the base blobs.  Every spec corrupts through the same
+    stream, so two specs that differ only in corruption level share
+    corrupted rows: a family (a label-sweep grid too) is nested by
+    construction, not just in expectation.
+    """
     from .. import tasks
 
     model = build_model(params["model"])
@@ -124,25 +164,15 @@ def _base_dataset(params, seed):
     data = tasks.generate_blobs(
         model.n_classes, d["n_samples"], model.input_dim, d["separation"], _sub_seed(seed, _DATA)
     )
-    return model, data
-
-
-def _spec_dataset(params, seed, k):
-    """Dataset for task-spec k: base blobs, class subset, label noise.
-
-    Every spec in a family corrupts through the same stream, so two specs
-    that differ only in corruption level share corrupted rows: the family
-    is nested by construction, not just in expectation.
-    """
-    from .. import tasks
-
-    model, data = _base_dataset(params, seed)
-    spec = params["tasks"][k]
-    if spec["keep_classes"] is not None:
+    if spec and spec["keep_classes"] is not None:
         data = tasks.subset_classes(data, spec["keep_classes"])
-    if spec["corruption"] > 0:
+    if spec and spec["corruption"] > 0:
         data = tasks.corrupt_labels(data, spec["corruption"], _sub_seed(seed, _CORRUPT))
-    return model, data
+    return tasks.Task(data, model)
+
+
+def _trainer(params, seed):
+    return build_trainer(params["trainer"], _sub_seed(seed, _TRAIN))
 
 
 # restarts for the loss-floor estimate: a single descent can land in a shallow
@@ -150,24 +180,24 @@ def _spec_dataset(params, seed, k):
 _FLOOR_RESTARTS = 4
 
 
-def _threshold_point(task, trainer, extra, name):
-    """Convergence threshold: estimated minimum loss plus a margin."""
-    from .. import complexity
+def _loss_floor(params, seed, task, name, posterior=False):
+    """Convergence threshold: the restarts' minimum loss plus a margin.
 
-    W, converged, _ = complexity.train_minimizers(task, trainer, _FLOOR_RESTARTS, name=name)
-    return _floor(task, W, converged, extra)
-
-
-def _floor(task, W, converged, extra):
-    """(threshold, minimum loss, converged, minimizer) from the restarts W.
-
-    The lowest final loss wins, the earliest restart on ties.
+    Returns (threshold, minimum loss, whether that restart converged, its
+    weights, mean).  The lowest final loss wins, the earliest restart on
+    ties.  With ``posterior`` the posterior mean descends as the stack's
+    last row and mean is its (weights, converged); otherwise None.
     """
-    from .. import tasks
+    from .. import complexity, tasks
 
-    losses = tasks.loss_many(task, W)
+    W, converged, _ = complexity.train_minimizers(
+        task, _trainer(params, seed), _FLOOR_RESTARTS, name=name,
+        posterior=(params["beta"], params["prior_scale2"]) if posterior else None,
+    )
+    losses = tasks.loss_many(task, W[:_FLOOR_RESTARTS])
     r = int(np.argmin(losses))
-    return float(losses[r] + extra), float(losses[r]), bool(converged[r]), W[r]
+    mean = (W[-1], bool(converged[-1])) if posterior else None
+    return float(losses[r] + params["threshold_extra"]), float(losses[r]), bool(converged[r]), W[r], mean
 
 
 # -- kramers-sweep -------------------------------------------------------------
@@ -218,21 +248,16 @@ def _kramers_sweep(cfg, out_dir, workers):
     slowest point.  Every point keeps its own seed, so the grouping cannot
     change a result.
     """
-    from .. import rates
-
     params, seed = cfg.params, cfg.seed
     grid = params["d_grid"]
     n_groups = max(1, min(workers, len(grid)))  # workers < 1 runs in-process, as in _sweep
     groups = [list(range(g, len(grid), n_groups)) for g in range(n_groups)]
     # a group hands back its points' domain errors, so _sweep flags nothing
     outs, _ = _sweep(_kramers_group, [(None, (params, seed, ks)) for ks in groups], workers)
-    records, flags = [], {}
-    for k, D in enumerate(grid):
-        out = outs[k % n_groups][k // n_groups]
-        if isinstance(out, Exception):
-            flags[f"D={D:g}"] = f"{type(out).__name__}: {out}"
-        else:
-            records.append(out)
+    results, flags = _collect(
+        [f"D={D:g}" for D in grid], [outs[k % n_groups][k // n_groups] for k in range(len(grid))]
+    )
+    records = [r for r in results if r is not None]
     summary = {"barrier": None, "barrier_if_half_exponent": None, "fit": None}
     plots = [
         (
@@ -241,8 +266,8 @@ def _kramers_sweep(cfg, out_dir, workers):
             [(r["inv_D"], math.log(r["mean_time"])) for r in records],
         )
     ]
-    if len(records) >= 3:
-        fit = rates.arrhenius_fit([(r["inv_D"], r["mean_time"]) for r in records])
+    fit = _arrhenius_or_none([(r["inv_D"], r["mean_time"]) for r in records])
+    if fit is not None:
         summary = {
             "barrier": fit.slope,
             "barrier_if_half_exponent": 2.0 * fit.slope,
@@ -258,38 +283,34 @@ def _kramers_sweep(cfg, out_dir, workers):
     return Outcome(records, summary, flags, {"kramers_sweep.csv": records}, plots)
 
 
-# -- label-sweep ---------------------------------------------------------------
+# -- label-sweep and complexity-scatter ----------------------------------------
 
 
-def _task_cell(params, seed, k, model, data, name):
+def _task_cell(args):
     """Loss floor, posterior mean, C_beta and SGD convergence on one task.
 
-    The body shared by label-sweep and complexity-scatter cells.  Returns
-    (record fields, escape stats, whether both descents converged).
+    The one cell of label-sweep and complexity-scatter: ``head`` holds
+    the record's leading field (``rho`` or ``label``), ``name`` names the
+    descents in their errors.
     """
-    from .. import complexity, tasks
+    from .. import complexity
 
-    task = tasks.Task(data, model)
-    trainer = build_trainer(params["trainer"], _sub_seed(seed, _TRAIN))
-    # the restarts and the posterior mean descend as one stack, the mean last
-    W, converged, _ = complexity.train_minimizers(
-        task, trainer, _FLOOR_RESTARTS, name=name,
-        posterior=(params["beta"], params["prior_scale2"]),
+    params, seed, k, name, head, spec = args
+    task = _task(params, seed, spec)
+    threshold, min_loss, descent_ok, _, (w_mean, mean_ok) = _loss_floor(
+        params, seed, task, name, posterior=True
     )
-    threshold, min_loss, descent_ok, _ = _floor(
-        task, W[:-1], converged[:-1], params["threshold_extra"]
-    )
-    w_mean, mean_ok = W[-1], converged[-1]
     rep = complexity.c_beta(task, w_mean, params["beta"], params["prior_scale2"])
     st = diffusion.convergence_time(
         task,
-        complexity.initial_point(model, trainer),
+        complexity.initial_point(task.model, _trainer(params, seed)),
         threshold,
         build_sgd(params["sgd"]),
         params["n_runs"],
         _sub_seed(seed, _CELL, k),
     )
-    rec = {
+    return {
+        **head,
         "c_beta": rep.total,
         "c_beta_parts": rep.to_dict(),
         "median_time": st.median,
@@ -298,28 +319,20 @@ def _task_cell(params, seed, k, model, data, name):
         "n_runs": st.n_runs,
         "threshold": threshold,
         "min_loss": min_loss,
+        "samples": [float(v) for v in st.samples],
+        "descent_converged": descent_ok and mean_ok,
     }
-    return rec, st, bool(descent_ok and mean_ok)
-
-
-def _label_cell(args):
-    from .. import tasks
-
-    params, seed, k, rho = args
-    model, base = _base_dataset(params, seed)
-    # one corruption stream for the whole grid: corrupted rows nest as
-    # rho grows, so the sweep is not clouded by independent redraws
-    data = tasks.corrupt_labels(base, rho, _sub_seed(seed, _CORRUPT)) if rho > 0 else base
-    rec, st, ok = _task_cell(params, seed, k, model, data, f"rho={rho:g}")
-    return {"rho": rho, **rec, "samples": [float(v) for v in st.samples], "descent_converged": ok}
 
 
 def _label_sweep(cfg, out_dir, workers):
     params, seed = cfg.params, cfg.seed
-    grid = params["corruption_grid"]
-    records, flags = _sweep(
-        _label_cell, [(f"rho={r:g}", (params, seed, k, r)) for k, r in enumerate(grid)], workers
-    )
+    cells = []
+    for k, rho in enumerate(params["corruption_grid"]):
+        # a spec like any task family's, so corrupted rows nest as rho grows
+        spec = {"keep_classes": None, "corruption": rho}
+        cells.append((f"rho={rho:g}", (params, seed, k, f"rho={rho:g}", {"rho": rho}, spec)))
+    results, flags = _sweep(_task_cell, cells, workers)
+    records = [r for r in results if r is not None]
     by_rho = sorted(records, key=lambda r: r["rho"])
     cb = [r["c_beta"] for r in by_rho]
     med = [r["median_time"] for r in by_rho]
@@ -335,20 +348,50 @@ def _label_sweep(cfg, out_dir, workers):
     return Outcome(records, summary, flags, {"label_sweep.csv": records}, plots)
 
 
+def _complexity_scatter(cfg, out_dir, workers):
+    params, seed = cfg.params, cfg.seed
+    results, flags = _sweep(
+        _task_cell,
+        [
+            (s["label"], (params, seed, k, s["label"], {"label": s["label"]}, s))
+            for k, s in enumerate(params["tasks"])
+        ],
+        workers,
+    )
+    records = [
+        {f: v for f, v in r.items() if f not in ("samples", "descent_converged")}
+        for r in results
+        if r is not None
+    ]
+    fit = _arrhenius_or_none(
+        [
+            (r["c_beta"], r["median_time"])
+            for r in records
+            if r["median_time"] is not None and r["median_time"] > 0
+        ]
+    )
+    summary = {
+        "spearman_cbeta_time": _spearman(
+            [r["c_beta"] for r in records], [r["median_time"] for r in records]
+        ),
+        "log_time_fit": None
+        if fit is None
+        else {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2},
+    }
+    plots = [_plot("complexity_scatter.dat", records, "c_beta", "median_time")]
+    return Outcome(records, summary, flags, {"complexity_scatter.csv": records}, plots)
+
+
 # -- batch-sweep ---------------------------------------------------------------
 
 
 def _batch_cell(args):
-    from .. import complexity, tasks
+    from .. import complexity
 
     params, seed, k, B = args
-    model, data = _base_dataset(params, seed)
-    task = tasks.Task(data, model)
-    trainer = build_trainer(params["trainer"], _sub_seed(seed, _TRAIN))
-    threshold, min_loss, _, _ = _threshold_point(
-        task, trainer, params["threshold_extra"], f"B={B}"
-    )
-    w0 = complexity.initial_point(model, trainer)
+    task = _task(params, seed)
+    threshold, min_loss, *_ = _loss_floor(params, seed, task, f"B={B}")
+    w0 = complexity.initial_point(task.model, _trainer(params, seed))
     sgd = build_sgd({"eta": params["eta"], "max_steps": params["max_steps"]}, batch_size=B)
     st = diffusion.convergence_time(
         task, w0, threshold, sgd, params["n_runs"], _sub_seed(seed, _CELL, k)
@@ -375,11 +418,12 @@ def _batch_cell(args):
 
 def _batch_sweep(cfg, out_dir, workers):
     params, seed = cfg.params, cfg.seed
-    records, flags = _sweep(
+    results, flags = _sweep(
         _batch_cell,
         [(f"B={B}", (params, seed, k, B)) for k, B in enumerate(params["batch_grid"])],
         workers,
     )
+    records = [r for r in results if r is not None]
     trace_by_b = {r["batch_size"]: r["noise_trace"] for r in records}
     ratio_pairs = [
         [b, trace_by_b[b] / trace_by_b[2 * b]]
@@ -394,61 +438,17 @@ def _batch_sweep(cfg, out_dir, workers):
     return Outcome(records, summary, flags, {"batch_sweep.csv": records}, plots)
 
 
-# -- complexity-scatter --------------------------------------------------------
-
-
-def _scatter_cell(args):
-    params, seed, k = args
-    model, data = _spec_dataset(params, seed, k)
-    label = params["tasks"][k]["label"]
-    rec, _, _ = _task_cell(params, seed, k, model, data, label)
-    return {"label": label, **rec}
-
-
-def _complexity_scatter(cfg, out_dir, workers):
-    from .. import rates
-
-    params, seed = cfg.params, cfg.seed
-    records, flags = _sweep(
-        _scatter_cell,
-        [(spec["label"], (params, seed, k)) for k, spec in enumerate(params["tasks"])],
-        workers,
-    )
-    pts = [
-        (r["c_beta"], r["median_time"])
-        for r in records
-        if r["median_time"] is not None and r["median_time"] > 0
-    ]
-    fit = None
-    if len(pts) >= 3:
-        rf = rates.arrhenius_fit(pts)
-        fit = {"slope": rf.slope, "intercept": rf.intercept, "r2": rf.r2}
-    summary = {
-        "spearman_cbeta_time": _spearman(
-            [r["c_beta"] for r in records], [r["median_time"] for r in records]
-        ),
-        "log_time_fit": fit,
-    }
-    plots = [_plot("complexity_scatter.dat", records, "c_beta", "median_time")]
-    return Outcome(records, summary, flags, {"complexity_scatter.csv": records}, plots)
-
-
 # -- finetune-matrix -----------------------------------------------------------
 
 
 def _finetune_prep_cell(args):
-    from .. import tasks
-
     params, seed, i = args
-    model, data = _spec_dataset(params, seed, i)
-    label = params["tasks"][i]["label"]
-    task = tasks.Task(data, model)
-    trainer = build_trainer(params["trainer"], _sub_seed(seed, _TRAIN))
-    threshold, min_loss, ok, w_min = _threshold_point(
-        task, trainer, params["threshold_extra"], label
+    spec = params["tasks"][i]
+    threshold, min_loss, ok, w_min, _ = _loss_floor(
+        params, seed, _task(params, seed, spec), spec["label"]
     )
     return {
-        "label": label,
+        "label": spec["label"],
         "threshold": threshold,
         "min_loss": min_loss,
         "descent_converged": ok,
@@ -465,11 +465,7 @@ def _finetune_cell(args):
     checkpointed as the cell finishes, so a run that aborts keeps every
     cell it finished.
     """
-    from .. import tasks
-
     params, seed, i, j, w_start, threshold, ck_dir, cfg_hash = args
-    model, data = _spec_dataset(params, seed, j)
-    task = tasks.Task(data, model)
     rec = {
         "from": params["tasks"][i]["label"],
         "to": params["tasks"][j]["label"],
@@ -480,7 +476,7 @@ def _finetune_cell(args):
     }
     try:
         st = diffusion.convergence_time(
-            task,
+            _task(params, seed, params["tasks"][j]),
             np.array(w_start),
             threshold,
             build_sgd(params["sgd"]),
@@ -521,26 +517,17 @@ def _finetune_matrix(cfg, out_dir, workers):
     labels = [s["label"] for s in params["tasks"]]
     n = len(labels)
 
-    prep_recs, flags = _sweep(
+    preps, flags = _sweep(
         _finetune_prep_cell, [(f"prep:{labels[i]}", (params, seed, i)) for i in range(n)], workers
     )
-    by_label = {p["label"]: p for p in prep_recs}
-    preps = [by_label.get(label) for label in labels]
-
-    cell_ids = [
-        (i, j) for i in range(n) for j in range(n) if preps[i] is not None and preps[j] is not None
-    ]
+    ready = [i for i in range(n) if preps[i] is not None]
     cfg_hash = hashlib.sha256(canonical_json(cfg.snapshot()).encode()).hexdigest()
     ck_dir = os.path.join(out_dir, "checkpoint")
     os.makedirs(ck_dir, exist_ok=True)
-    cells, todo = {}, []
-    for i, j in cell_ids:
-        rec = _load_checkpoint(ck_dir, cfg_hash, i, j)
-        if rec is not None:
-            cells[(i, j)] = rec
-        else:
-            todo.append((i, j))
-    reused = len(cells)
+    # (i, j) -> record, None until the cell has run; row-major order throughout
+    cells = {(i, j): _load_checkpoint(ck_dir, cfg_hash, i, j) for i in ready for j in ready}
+    todo = [ij for ij, rec in cells.items() if rec is None]
+    reused = len(cells) - len(todo)
     done, cell_flags = _sweep(
         _finetune_cell,
         [
@@ -553,25 +540,20 @@ def _finetune_matrix(cfg, out_dir, workers):
         workers,
     )
     flags.update(cell_flags)
-    for res in done:
-        i, j = labels.index(res["from"]), labels.index(res["to"])
-        cells[(i, j)] = res
+    cells.update(zip(todo, done))
 
-    records = [cells[(i, j)] for i in range(n) for j in range(n) if (i, j) in cells]
+    records = [rec for rec in cells.values() if rec is not None]
     times = [
-        [cells[(i, j)]["median_time"] if (i, j) in cells else None for j in range(n)]
-        for i in range(n)
+        [(cells.get((i, j)) or {}).get("median_time") for j in range(n)] for i in range(n)
     ]
 
     # distance matrix over the same datasets, same trainer discipline
-    model = build_model(params["model"])
-    datasets = [_spec_dataset(params, seed, k)[1] for k in range(n)]
-    trainer = build_trainer(params["trainer"], _sub_seed(seed, _TRAIN))
+    datasets = [_task(params, seed, s).data for s in params["tasks"]]
     dm = complexity.distance_matrix(
-        datasets, model, params["beta"], params["prior_scale2"], trainer, ids=labels
+        datasets, build_model(params["model"]), params["beta"], params["prior_scale2"],
+        _trainer(params, seed), ids=labels,
     )
     dmd = dm.to_json_dict()
-
     pairs = [
         {
             "from": labels[i],
@@ -627,17 +609,19 @@ def _structure_curve(cfg, out_dir, workers):
     from .. import complexity, tasks
 
     params, seed = cfg.params, cfg.seed
-    model, data = _base_dataset(params, seed)
+    task = _task(params, seed)
     if params["corruption"] > 0:
-        data = tasks.corrupt_labels(data, params["corruption"], _sub_seed(seed, _CORRUPT, 0))
-    task = tasks.Task(data, model)
-    trainer = build_trainer(params["trainer"], _sub_seed(seed, _TRAIN))
-    sc = complexity.structure_curve(task, params["beta_grid"], params["prior_scale2"], trainer)
+        # its own stream, (_CORRUPT, 0), not the one task specs share
+        data = tasks.corrupt_labels(task.data, params["corruption"], _sub_seed(seed, _CORRUPT, 0))
+        task = tasks.Task(data, task.model)
+    sc = complexity.structure_curve(
+        task, params["beta_grid"], params["prior_scale2"], _trainer(params, seed)
+    )
     summary = {
         "monotone_loss_in_kl": sc.is_monotone(),
         "lambda2": params["prior_scale2"],
         "expected_loss_at_beta_max": sc.records[0]["expected_loss"],
-        "log_n_classes": math.log(model.n_classes),
+        "log_n_classes": math.log(task.model.n_classes),
     }
     plots = [
         (

@@ -550,8 +550,7 @@ def test_curve_flags_unconverged_points_without_dropping_them():
     sc = structure_curve(t, [1.0, 0.1], 1.0, starved)
     assert len(sc.records) == 2
     assert not any(r["converged"] for r in sc.records)
-    assert sc.kl(converged_only=True).size == 0
-    assert sc.kl(converged_only=False).size == 2
+    assert sc.kl().size == 0 and sc.expected_loss().size == 0
 
 
 # -- task distances ---------------------------------------------------------------

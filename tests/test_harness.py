@@ -21,7 +21,7 @@ from reachlab.errors import ConfigError, SchemaError, SimulationError
 from reachlab.harness import experiments
 from reachlab.harness.bundle import ResultBundle
 from reachlab.harness.cli import main as cli_main
-from reachlab.harness.config import KINDS, build_trainer, parse_config
+from reachlab.harness.config import KINDS, build_model, build_trainer, parse_config
 from reachlab.harness.io import (
     CSV_SCHEMAS,
     PlotSet,
@@ -916,18 +916,46 @@ def test_task_cell_stack_equals_the_two_call_path(raw, monkeypatch):
     monkeypatch.setattr(experiments.diffusion, "convergence_time", lambda *a: stub)
     cfg = parse_config("label-sweep", raw)
     params, seed = cfg.params, cfg.seed
+    model = build_model(params["model"])
+    d = params["data"]
+    base = tasks.generate_blobs(
+        model.n_classes, d["n_samples"], model.input_dim, d["separation"],
+        experiments._sub_seed(seed, experiments._DATA),
+    )
     flags = set()
     for k, rho in enumerate(params["corruption_grid"]):
-        model, base = experiments._base_dataset(params, seed)
         if rho > 0:
             data = tasks.corrupt_labels(base, rho, experiments._sub_seed(seed, experiments._CORRUPT))
         else:
             data = base
-        rec, _, ok = experiments._task_cell(params, seed, k, model, data, f"rho={rho:g}")
+        spec = {"keep_classes": None, "corruption": rho}
+        rec = experiments._task_cell((params, seed, k, f"rho={rho:g}", {"rho": rho}, spec))
         want = _two_call_task_descents(params, seed, model, data, f"rho={rho:g}")
+        ok = rec["descent_converged"]
         assert (rec["threshold"], rec["min_loss"], rec["c_beta"], ok) == want
         flags.add(ok)
     assert flags == ({True} if raw is LABEL_RAW else {True, False})
+
+
+def test_label_sweep_keeps_each_record_and_flag_on_its_own_cell(tmp_path, monkeypatch):
+    # the middle cell's SGD fails; the cells around it keep their own rho,
+    # their own records and grid order, and the flag names the middle cell
+    cfg = parse_config("label-sweep", LABEL_RAW)
+    stub = diffusion.EscapeStats.from_times([3.0], 1)
+    monkeypatch.setattr(experiments.diffusion, "convergence_time", lambda *a: stub)
+    whole = experiments.run_experiment(cfg, str(tmp_path / "whole"))
+    middle = experiments._sub_seed(cfg.seed, experiments._CELL, 1)
+
+    def fail_in_the_middle(*args):
+        if args[-1] == middle:
+            raise SimulationError("no run converged")
+        return stub
+
+    monkeypatch.setattr(experiments.diffusion, "convergence_time", fail_in_the_middle)
+    b = experiments.run_experiment(cfg, str(tmp_path / "gap"))
+    assert [r["rho"] for r in b.records] == [0.0, 0.6]
+    assert b.records == [whole.records[0], whole.records[2]]
+    assert b.flags == {"rho=0.3": "SimulationError: no run converged"}
 
 
 _RANKED = st.one_of(st.floats(-1e6, 1e6), st.integers(0, 3).map(float))
@@ -1243,6 +1271,60 @@ def test_cli_flags_censored_cells_but_still_succeeds(tmp_path, capsys):
     b = ResultBundle.load(str(out / "bundle.json"))
     assert b.records == [] and len(b.flags) == 3
     assert b.summary["fit"] is None
+
+
+@pytest.mark.parametrize(
+    "kind, raw, keys",
+    [
+        (
+            "kramers-sweep",
+            dict(KRAMERS_RAW, d_grid=[1e-4, 1e-4, 2e-4, 3e-4], max_steps=200, n_runs=2),
+            {"D=0.0001#0", "D=0.0001#1", "D=0.0002", "D=0.0003"},
+        ),
+        (
+            "label-sweep",
+            dict(LABEL_RAW, corruption_grid=[0.0, 0.3, 0.3000001], sgd=dict(LABEL_RAW["sgd"], max_steps=1)),
+            {"rho=0", "rho=0.3#1", "rho=0.3#2"},
+        ),
+    ],
+    ids=["kramers", "label"],
+)
+def test_cli_gives_every_failed_cell_its_own_flag(tmp_path, capsys, kind, raw, keys):
+    # a repeated grid key (both 0.3s format as rho=0.3) gains its cell's index
+    cfgp = _write_json(tmp_path / "cfg.json", raw)
+    assert cli_main([kind, "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+    assert f"{len(keys)} cell(s) flagged" in capsys.readouterr().out
+    b = ResultBundle.load(str(tmp_path / "out" / "bundle.json"))
+    assert b.records == [] and set(b.flags) == keys
+
+
+@pytest.mark.parametrize(
+    "kind, raw, fit_key, x, n_flags",
+    [
+        (
+            "complexity-scatter",
+            dict(SCATTER_RAW, tasks=[{"label": x, "corruption": 0.4} for x in "abc"]),
+            "log_time_fit",
+            "c_beta",
+            0,
+        ),
+        ("kramers-sweep", dict(KRAMERS_RAW, d_grid=[0.4, 0.4, 0.4, 1e-4, 2e-4]), "fit", "D", 2),
+    ],
+    ids=["scatter", "kramers"],
+)
+def test_cli_records_a_degenerate_summary_fit_as_null(tmp_path, kind, raw, fit_key, x, n_flags):
+    # three points at one x: arrhenius_fit rejects them, and the finished
+    # run keeps its records, CSV and plots with a null fit
+    cfgp = _write_json(tmp_path / "cfg.json", raw)
+    out = tmp_path / "out"
+    assert cli_main([kind, "--config", cfgp, "--out", str(out)]) == 0
+    b = ResultBundle.load(str(out / "bundle.json"))
+    assert len(b.records) == 3 and len({r[x] for r in b.records}) == 1
+    assert len(b.flags) == n_flags
+    assert b.summary[fit_key] is None and b.summary.get("barrier") is None
+    name = kind.replace("-", "_") + ".csv"
+    validate_csv(str(out / name), name)
+    assert (out / "plots").is_dir() and not (out / "aborted.json").exists()
 
 
 def test_cli_runtime_failure_exit_three_with_note(tmp_path, capsys):
