@@ -82,10 +82,6 @@ def gaussian_kl(q, lambda2):
     return 0.5 * (m2 / lambda2 + (tr / lambda2 - k) + (k * np.log(lambda2) - logdet))
 
 
-# bytes in one block of the MLP's first-layer Jacobian, under the CLI's 1 MiB mmap threshold
-_BLOCK_BYTES = 1_000_000
-
-
 def fisher(task, w):
     """Expected curvature F(w) = E_data E_{y ~ p_w} [ grad log p grad log p^T ].
 
@@ -116,7 +112,7 @@ def fisher(task, w):
     if model.family == "mlp-1-hidden":
         h, p = model.hidden, model.input_dim
         W2, Phi, dA1 = (a[0] for a in cache)
-        off, step = h * p, max(1, _BLOCK_BYTES // (8 * n * K1 * p))
+        off, step = h * p, max(1, tasks._BLOCK_BYTES // (8 * n * K1 * p))
         units = [slice(j, min(j + step, h)) for j in range(0, h, step)]
 
         def J1(u):  # dz_k/dW1[j,:] = W2[k,j] phi'(z1_j) x, for the hidden units j in u

@@ -23,7 +23,12 @@ ensemble never holds more states than one cell's _NOISE_CHUNK-step
 block.  For SGD, run i's chunk is ``integers(0, n, size=(m, B))``, which
 equals m per-step draws of ``integers(0, n, size=B)``; draws past the
 step at which a run stops are discarded, so run i's time depends on
-its own stream alone.  The SGD functions import ``tasks`` themselves:
+its own stream alone.  SGD steps in blocks of ``_sgd_block`` steps,
+sized so that one stacked full-loss check of the block stays under
+``tasks._BLOCK_BYTES``.  In both simulators the steps a run takes past
+its stop in a block are computed with numpy warnings off and
+discarded, so a diverging run is censored (SGD) or reported (Langevin)
+without a numpy warning.  The SGD functions import ``tasks`` themselves:
 the Langevin half, all that ``action`` uses, needs none of it.
 """
 
@@ -368,17 +373,31 @@ def exact_minibatch_covariance(task, w, batch_size):
     return S1 / batch_size
 
 
+def _sgd_block(task, n_runs):
+    """SGD steps per full-loss check: the check stacks the block's states
+    of every run, and its largest temporary, (m * n_runs, n, max(hidden,
+    n_classes)) floats, stays under ``tasks._BLOCK_BYTES``."""
+    from . import tasks as tasklib
+
+    width = max(task.model.hidden, task.model.n_classes)
+    return max(1, min(_NOISE_CHUNK, tasklib._BLOCK_BYTES // (8 * n_runs * task.data.n * width)))
+
+
 def convergence_time(task, w0, threshold, cfg, n_runs, seed):
     """Time (in units of steps * eta) for the full loss to reach threshold.
 
     Each run is an independent SGD stream from w0 (run i draws from
     stream (seed, i)); the runs step in lockstep as one batched ensemble,
-    and the full-dataset regularized loss of every active run is checked
-    after every step.  A start already at or below threshold counts as
-    time 0.  A run stops when it reaches the threshold; a run whose
-    weights turn non-finite stops too and, like a run that never reaches
-    the threshold within max_steps, is censored.  The threshold should
-    sit above the minimum achievable loss; estimating that minimum is the
+    in blocks of ``_sgd_block`` steps, and one stacked ``loss_many`` call
+    checks the full-dataset regularized loss of every state in a block.
+    Its rows have the bits of one-row calls, so no passage step depends
+    on the block.  A start already at or below threshold counts as time
+    0.  A run stops when it reaches the threshold; a run whose weights
+    turn non-finite stops too and, like a run that never reaches the
+    threshold within max_steps, is censored.  Steps a run takes past its
+    stop in a block are computed without numpy warnings and discarded,
+    so a diverging run is censored quietly.  The threshold should sit
+    above the minimum achievable loss; estimating that minimum is the
     caller's job (the harness uses a preliminary full-batch descent).
     """
     from . import tasks as tasklib
@@ -391,10 +410,19 @@ def convergence_time(task, w0, threshold, cfg, n_runs, seed):
     if n_runs < 1:
         raise ContractError("n_runs must be >= 1")
     step = _sgd_stepper(task, cfg, [stream(seed, i) for i in range(n_runs)])
+
+    def advance(W, runs, k0, m):
+        traj = np.empty((m,) + W.shape)
+        with np.errstate(all="ignore"):
+            for j in range(m):
+                W = traj[j] = step(W, runs, k0 + j)
+        return traj
+
+    def reached(S):
+        return (tasklib.loss_many(task, S.reshape(-1, S.shape[2])) <= threshold).reshape(S.shape[:2])
+
     passed_at, _ = _passage(
-        lambda W, runs, k0, m: step(W, runs, k0)[None],  # m is 1
-        lambda S: (tasklib.loss_many(task, S[0]) <= threshold)[None],
-        np.tile(w0, (n_runs, 1)), cfg.max_steps, 1,
+        advance, reached, np.tile(w0, (n_runs, 1)), cfg.max_steps, _sgd_block(task, n_runs)
     )
     times = passed_at[passed_at >= 0] * cfg.eta
     if not times.size:

@@ -25,6 +25,10 @@ from .rng import stream
 
 _FAMILIES = ("multinomial-logistic", "mlp-1-hidden")
 _ACTIVATIONS = ("tanh", "softplus")
+# bytes in the largest temporary of one blocked computation over these
+# tasks (a Fisher Jacobian block, a stacked SGD loss check), under the
+# CLI's 1 MiB mmap threshold
+_BLOCK_BYTES = 1_000_000
 
 
 @dataclass(frozen=True)

@@ -213,7 +213,7 @@ def test_fisher_block_width_moves_no_bit(K, hidden, monkeypatch):
     w = rng.standard_normal(t.model.n_params)
     want = _dense_fisher(t, w)
     for budget in (1, 8 * 37 * (K - 1) * t.model.input_dim * 3):
-        monkeypatch.setattr(complexity, "_BLOCK_BYTES", budget)
+        monkeypatch.setattr(tasks, "_BLOCK_BYTES", budget)
         assert np.array_equal(fisher(t, w), want), budget
 
 

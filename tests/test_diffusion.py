@@ -646,6 +646,9 @@ def test_lockstep_convergence_matches_the_per_run_loop(model, threshold_frac, sg
     if threshold_frac > 0.9:  # the diverging case
         assert ref.count(0) == 5
     assert len(set(hits)) > 1  # runs stop at different steps
+    # the runs step in blocks, and some stop partway through one
+    assert diffusion._sgd_block(t, n_runs) > 1
+    assert any(k % diffusion._sgd_block(t, n_runs) for k in hits)
     # run i's time depends on i alone, not on how many runs share the ensemble
     for n in sorted({1, 2, n_runs}):
         head = [k for k in ref[:n] if k]
@@ -656,3 +659,56 @@ def test_lockstep_convergence_matches_the_per_run_loop(model, threshold_frac, sg
         es = convergence_time(t, w0, threshold, sgd, n, seed=2)
         assert es.samples.tolist() == sorted(k * sgd.eta for k in head)
         assert es.n_censored == n - len(head)
+
+
+def _softplus_diverging_case():
+    # the "softplus-diverging" case above: of 8 runs, 5 overflow before
+    # passage and 3 pass within 3 steps
+    t = tasks.Task(tasks.generate_blobs(3, 40, 2, 2.0, seed=3), _SOFTPLUS)
+    w0 = 0.5 * np.random.default_rng(1).standard_normal(_SOFTPLUS.n_params)
+    return t, w0, 0.95 * tasks.loss(t, w0), SGDConfig(eta=4.0, batch_size=4, max_steps=1000)
+
+
+def test_sgd_block_length_moves_no_result(monkeypatch):
+    t, w0, threshold, sgd = _softplus_diverging_case()
+    assert diffusion._sgd_block(t, 8) > 1
+    want = convergence_time(t, w0, threshold, sgd, 8, seed=2)
+    monkeypatch.setattr(tasks, "_BLOCK_BYTES", 1)
+    assert diffusion._sgd_block(t, 8) == 1
+    got = convergence_time(t, w0, threshold, sgd, 8, seed=2)
+    assert np.array_equal(got.samples, want.samples)
+    assert got.n_censored == want.n_censored == 5
+
+
+def test_sgd_steps_past_a_passage_may_diverge_quietly(monkeypatch):
+    # run 0 overflows before passage; run 1 passes at step 1 and, stepped
+    # on, overflows later in the same block: neither warns
+    t, w0, threshold, sgd = _softplus_diverging_case()
+    rng, w = stream(2, 1), w0
+    with np.errstate(all="ignore"):
+        for k in range(1, sgd.max_steps + 1):
+            _, g = tasks.batch_loss_grad(t, w, rng.integers(0, t.data.n, size=sgd.batch_size))
+            w = w - sgd.eta * (g + t.model.weight_decay * w)
+            if k == 1:
+                assert tasks.loss(t, w) <= threshold
+            if not np.isfinite(w).all():
+                break
+    assert 1 < k < sgd.max_steps and not np.isfinite(w).all()
+    monkeypatch.setattr(tasks, "_BLOCK_BYTES", 10**9)  # the whole budget in one block
+    assert diffusion._sgd_block(t, 2) >= sgd.max_steps
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        es = convergence_time(t, w0, threshold, sgd, 2, seed=2)
+    assert np.array_equal(es.samples, [sgd.eta])
+    assert es.n_censored == 1
+
+
+def test_finite_sgd_ensembles_raise_no_warnings():
+    t = tasks.Task(tasks.generate_blobs(3, 40, 2, 2.0, seed=3), _TANH)
+    w0 = 0.5 * np.random.default_rng(1).standard_normal(_TANH.n_params)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        es = convergence_time(
+            t, w0, 0.6 * tasks.loss(t, w0), SGDConfig(eta=0.05, batch_size=4, max_steps=400), 5, seed=2
+        )
+    assert es.n_censored < es.n_runs
