@@ -19,12 +19,16 @@ print(f"  d(pair -> full) = {d_pf:8.4f}   (two unseen classes to absorb)")
 # a graded family: progressively corrupted copies of one task
 labels = ["clean", "rho=0.3", "rho=0.6"]
 family = [full] + [tasks.corrupt_labels(full, r, seed=11) for r in (0.3, 0.6)]
-m = complexity.distance_matrix(family, model, beta, lam2, trainer, ids=labels)
 print("\ndistance matrix over a corruption-graded family (rows: from, cols: to):")
 header = "          " + "".join(f"{name:>10s}" for name in labels)
 print(header)
-for name, row in zip(labels, m.values):
-    cells = "".join(f"{v:10.4f}" for v in row)
+for name, d in zip(labels, family):
+    cells = "".join(
+        f"{complexity.task_distance(d, other, model, beta, lam2, trainer):10.4f}" for other in family
+    )
     print(f"{name:>10s}{cells}")
-print("\nbase C per task:", np.round(m.base_totals, 4))
+base = [
+    complexity.trained_c_beta(d, model, beta, lam2, trainer, name) for name, d in zip(labels, family)
+]
+print("\nbase C per task:", np.round(base, 4))
 print("moving toward more corruption costs more than moving back")

@@ -13,11 +13,13 @@ here uses.  The optimal posterior covariance at fixed mean is
 
 and sweeping beta traces out a loss-vs-KL structure curve.  Task distance
 is the complexity increment d(D1 -> D2) = C_beta(D1 u D2) - C_beta(D1),
-each term evaluated at its own trained posterior mean; it is asymmetric
-by construction.
+each term evaluated at its own trained posterior mean (``trained_c_beta``);
+it is asymmetric by construction.  ``task_distance`` measures one pair;
+the finetune-matrix experiment sweeps a family's terms as harness cells,
+so a descent that fails flags its own cell.
 """
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -251,9 +253,10 @@ def _gd(W, data_fn, c, cfg, name, restarts=None):
     A row freezes once its gradient norm reaches grad_tol, so each row
     follows exactly the path it would follow alone.  Returns (W, whether
     every row converged, iterations per row, which rows converged).  A
-    diverging row aborts the whole descent; when the first ``restarts``
-    rows (default all) number more than one, the error names a diverging
-    one of them as a restart.
+    diverging row aborts the whole descent with TrainingDivergedError and
+    no numpy warning; when the first ``restarts`` rows (default all)
+    number more than one, the error names a diverging one of them as a
+    restart.
     """
     W = np.array(W, dtype=float)
     R = W.shape[0]
@@ -278,29 +281,30 @@ def _gd(W, data_fn, c, cfg, name, restarts=None):
         if bad.any():
             raise diverged(f"loss {L[bad][0]:.3g} at iter {it}", bad)
 
-    for it in range(1, cfg.max_iters + 1):
-        ce, G = data_fn(Wa)
-        # every 50 steps the loss is checked where the step landed, which
-        # is where this call evaluated it
-        if it % 50 == 1 and it > 1:
-            check_loss(ce, it - 1)
-        G = G + c[:, None] * Wa
-        bad = ~np.isfinite(G).all(axis=1)
-        if bad.any():
-            raise diverged(f"non-finite gradient at iter {it}", bad)
-        done = np.sqrt(tasks._sq_norms(G)) <= cfg.grad_tol
-        if done.any():
-            W[rows[done]] = Wa[done]
-            converged[rows[done]] = True
-            iters[rows[done]] = it
-            Wa, G, rows = Wa[~done], G[~done], rows[~done]
-            c, step = c[~done], step[~done]
-            if not rows.size:
-                break
-        Wa = Wa - step[:, None] * G
-    else:  # no further call evaluates where the last step landed
-        if cfg.max_iters % 50 == 0:
-            check_loss(data_fn(Wa)[0], cfg.max_iters)
+    with np.errstate(all="ignore"):  # a diverging row raises below, unwarned
+        for it in range(1, cfg.max_iters + 1):
+            ce, G = data_fn(Wa)
+            # every 50 steps the loss is checked where the step landed, which
+            # is where this call evaluated it
+            if it % 50 == 1 and it > 1:
+                check_loss(ce, it - 1)
+            G = G + c[:, None] * Wa
+            bad = ~np.isfinite(G).all(axis=1)
+            if bad.any():
+                raise diverged(f"non-finite gradient at iter {it}", bad)
+            done = np.sqrt(tasks._sq_norms(G)) <= cfg.grad_tol
+            if done.any():
+                W[rows[done]] = Wa[done]
+                converged[rows[done]] = True
+                iters[rows[done]] = it
+                Wa, G, rows = Wa[~done], G[~done], rows[~done]
+                c, step = c[~done], step[~done]
+                if not rows.size:
+                    break
+            Wa = Wa - step[:, None] * G
+        else:  # no further call evaluates where the last step landed
+            if cfg.max_iters % 50 == 0:
+                check_loss(data_fn(Wa)[0], cfg.max_iters)
     W[rows] = Wa
     return W, bool(converged.all()), iters, converged
 
@@ -409,7 +413,7 @@ def structure_curve(task, beta_grid, lambda2, trainer):
 # -- task distances -----------------------------------------------------------
 
 
-def _trained_c_beta(data, model, beta, lambda2, trainer, name):
+def trained_c_beta(data, model, beta, lambda2, trainer, name):
     """C_beta(data).total, at the dataset's trained posterior mean."""
     w, _, _ = train_posterior_mean(data, model, beta, lambda2, trainer, name=name)
     return c_beta(tasks.Task(data, model), w, beta, lambda2).total
@@ -424,55 +428,6 @@ def task_distance(d1, d2, model, beta, lambda2, trainer, names=("d1", "d2")):
     the base dataset.
     """
     union = tasks.concat(d1, d2, n_classes=model.n_classes)
-    c_base = _trained_c_beta(d1, model, beta, lambda2, trainer, names[0])
-    c_union = _trained_c_beta(union, model, beta, lambda2, trainer, f"{names[0]}+{names[1]}")
+    c_base = trained_c_beta(d1, model, beta, lambda2, trainer, names[0])
+    c_union = trained_c_beta(union, model, beta, lambda2, trainer, f"{names[0]}+{names[1]}")
     return c_union - c_base
-
-
-@dataclass(frozen=True)
-class DistanceMatrix:
-    ids: list
-    values: np.ndarray          # (n, n); NaN where flagged
-    base_totals: np.ndarray     # C_beta(D_i), for diagnostics
-    flags: dict = field(default_factory=dict)  # "i,j" -> message
-
-    def to_json_dict(self):
-        return {
-            "ids": list(self.ids),
-            "values": [[None if not np.isfinite(v) else float(v) for v in row] for row in self.values],
-            "base_totals": [float(v) for v in self.base_totals],
-            "flags": dict(self.flags),
-        }
-
-
-def distance_matrix(datasets, model, beta, lambda2, trainer, ids=None):
-    """All pairwise d_beta(D_i -> D_j); per-pair failures become flags.
-
-    The diagonal is computed honestly (union of a dataset with itself),
-    so the near-zero self-distance is a measurement, not an assumption.
-    """
-    n = len(datasets)
-    if ids is None:
-        ids = [f"task{i}" for i in range(n)]
-    if len(ids) != n:
-        raise ContractError("ids must align with datasets")
-    base = np.full(n, np.nan)
-    trained = []  # the rows whose base dataset trained
-    flags = {}
-    for i, d in enumerate(datasets):
-        try:
-            base[i] = _trained_c_beta(d, model, beta, lambda2, trainer, ids[i])
-            trained.append(i)
-        except TrainingDivergedError as exc:
-            flags[f"{i},{i}"] = str(exc)
-    values = np.full((n, n), np.nan)
-    for i in trained:
-        for j in range(n):
-            try:
-                union = tasks.concat(datasets[i], datasets[j], n_classes=model.n_classes)
-                values[i, j] = _trained_c_beta(
-                    union, model, beta, lambda2, trainer, f"{ids[i]}+{ids[j]}"
-                ) - base[i]
-            except TrainingDivergedError as exc:
-                flags[f"{i},{j}"] = str(exc)
-    return DistanceMatrix(list(ids), values, base, flags)

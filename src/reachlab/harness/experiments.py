@@ -18,8 +18,10 @@ never converges) flag that cell and the sweep continues; programming
 errors propagate and abort the run.  ``_sweep`` returns one result per
 cell, ``None`` for a flagged one, and ``_collect`` makes every flag key:
 the cell's own key (``rho=0.3``, ``D=0.0001``, a task label), plus
-``#k``, k the cell's index, when the grid repeats that key.  A summary
-fit over points that ``rates.arrhenius_fit`` rejects is ``null``.
+``#k``, k the cell's index, when the grid repeats that key.
+finetune-matrix keeps its distance cells' flags (keys ``i,j``) in its
+summary.  A summary fit over points that ``rates.arrhenius_fit``
+rejects is ``null``.
 
 Every kind steps ``diffusion``; the other science modules are imported
 by the functions that use them, so a run loads only what its kind runs
@@ -493,6 +495,26 @@ def _finetune_cell(args):
     return rec
 
 
+def _c_beta_cell(args):
+    """C_beta of task i, or of the union of tasks i and j, at its trained mean.
+
+    The cell of finetune-matrix's distance sweep: j is None for task i
+    alone.  The descent is named by the task labels, ``i`` or ``i+j``.
+    """
+    from .. import complexity, tasks
+
+    params, seed, i, j = args
+    task = _task(params, seed, params["tasks"][i])
+    data, name = task.data, params["tasks"][i]["label"]
+    if j is not None:
+        other = params["tasks"][j]
+        data = tasks.concat(data, _task(params, seed, other).data, n_classes=task.model.n_classes)
+        name = f"{name}+{other['label']}"
+    return complexity.trained_c_beta(
+        data, task.model, params["beta"], params["prior_scale2"], _trainer(params, seed), name
+    )
+
+
 def _checkpoint_path(ck_dir, i, j):
     return os.path.join(ck_dir, f"cell_{i}_{j}.json")
 
@@ -510,8 +532,6 @@ def _load_checkpoint(ck_dir, cfg_hash, i, j):
 
 def _finetune_matrix(cfg, out_dir, workers):
     import hashlib
-
-    from .. import complexity
 
     params, seed = cfg.params, cfg.seed
     labels = [s["label"] for s in params["tasks"]]
@@ -547,18 +567,25 @@ def _finetune_matrix(cfg, out_dir, workers):
         [(cells.get((i, j)) or {}).get("median_time") for j in range(n)] for i in range(n)
     ]
 
-    # distance matrix over the same datasets, same trainer discipline
-    datasets = [_task(params, seed, s).data for s in params["tasks"]]
-    dm = complexity.distance_matrix(
-        datasets, build_model(params["model"]), params["beta"], params["prior_scale2"],
-        _trainer(params, seed), ids=labels,
+    # d(i -> j) = C(D_i u D_j) - C(D_i), the unions only for the bases
+    # that trained; the diagonal is a measured union, not an assumed zero
+    base, dist_flags = _sweep(
+        _c_beta_cell, [(f"{i},{i}", (params, seed, i, None)) for i in range(n)], workers
     )
-    dmd = dm.to_json_dict()
+    ij = [(i, j) for i in range(n) if base[i] is not None for j in range(n)]
+    unions, union_flags = _sweep(
+        _c_beta_cell, [(f"{i},{j}", (params, seed, i, j)) for i, j in ij], workers
+    )
+    dist_flags.update(union_flags)
+    dist = [[None] * n for _ in range(n)]
+    for (i, j), c in zip(ij, unions):
+        if c is not None:
+            dist[i][j] = _finite_or_none(c - base[i])
     pairs = [
         {
             "from": labels[i],
             "to": labels[j],
-            "distance": dmd["values"][i][j],
+            "distance": dist[i][j],
             "median_time": times[i][j],
         }
         for i in range(n)
@@ -573,7 +600,7 @@ def _finetune_matrix(cfg, out_dir, workers):
     for i in range(n):
         for j in range(i + 1, n):
             tij, tji = times[i][j], times[j][i]
-            dij, dji = dmd["values"][i][j], dmd["values"][j][i]
+            dij, dji = dist[i][j], dist[j][i]
             if None in (tij, tji, dij, dji):
                 continue
             if (tij - tji) * (dij - dji) > 0:
@@ -583,9 +610,9 @@ def _finetune_matrix(cfg, out_dir, workers):
     summary = {
         "labels": labels,
         "median_times": times,
-        "distances": dmd["values"],
-        "distance_flags": dmd["flags"],
-        "base_complexities": dmd["base_totals"],
+        "distances": dist,
+        "distance_flags": dist_flags,
+        "base_complexities": [None if c is None else _finite_or_none(c) for c in base],
         "prep": preps,
         "spearman_distance_time": _spearman(
             [p["distance"] for p in scatter], [p["median_time"] for p in scatter]

@@ -705,6 +705,20 @@ def test_finetune_runner_direction_and_checkpoints(tmp_path):
     assert b4.timing["cells_reused"] == 0
 
 
+def test_finetune_distances_are_task_distances_bitwise(tmp_path):
+    # the sweep's cells and the one-pair entry point share one C_beta path
+    cfg = parse_config("finetune-matrix", dict(FINETUNE_RAW))
+    b = experiments.run_experiment(cfg, str(tmp_path / "run"))
+    p = cfg.params
+    data = [experiments._task(p, cfg.seed, spec).data for spec in p["tasks"]]
+    model, trainer = build_model(p["model"]), experiments._trainer(p, cfg.seed)
+    for i, di in enumerate(data):
+        for j, dj in enumerate(data):
+            want = complexity.task_distance(di, dj, model, p["beta"], p["prior_scale2"], trainer)
+            got = b.summary["distances"][i][j]
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), (i, j)
+
+
 def test_finetune_truncated_checkpoint_is_recomputed(tmp_path):
     cfg = parse_config("finetune-matrix", dict(FINETUNE_RAW))
     out = tmp_path / "run"
@@ -755,6 +769,25 @@ def test_bundles_are_deterministic_across_workers(tmp_path):
     for workers in (2, 3, 4):
         b = experiments.run_experiment(cfg, str(tmp_path / f"w{workers}"), workers=workers)
         assert canonical_json(b.result_fields()) == canonical_json(b1.result_fields()), workers
+
+
+# softplus units do not saturate, so a giant step escalates the logits past
+# the loss guard: every descent diverges, the distance descents included
+DIVERGING_FINETUNE_RAW = dict(
+    FINETUNE_RAW,
+    model={"family": "mlp-1-hidden", "input_dim": 2, "n_classes": 3, "hidden": 8, "activation": "softplus"},
+    trainer={"step_size": 1e6, "max_iters": 200, "init_scale": 0.5},
+)
+
+
+def test_failed_cells_are_deterministic_across_workers(tmp_path):
+    # every flag keeps its key and text whichever worker computed its cell
+    cfg = parse_config("finetune-matrix", dict(DIVERGING_FINETUNE_RAW))
+    b1 = experiments.run_experiment(cfg, str(tmp_path / "w1"), workers=1)
+    assert set(b1.flags) == {"prep:full", "prep:pair"}
+    assert set(b1.summary["distance_flags"]) == {"0,0", "1,1"}
+    b3 = experiments.run_experiment(cfg, str(tmp_path / "w3"), workers=3)
+    assert canonical_json(b3.result_fields()) == canonical_json(b1.result_fields())
 
 
 def test_rerun_reproduces_a_bundle_from_its_snapshot(tmp_path):
@@ -1271,6 +1304,21 @@ def test_cli_flags_censored_cells_but_still_succeeds(tmp_path, capsys):
     b = ResultBundle.load(str(out / "bundle.json"))
     assert b.records == [] and len(b.flags) == 3
     assert b.summary["fit"] is None
+
+
+def test_cli_flags_diverged_distance_descents_but_still_succeeds(tmp_path, capsys):
+    # a base whose descent diverges is a flag and a null, with no numpy warning
+    cfgp = _write_json(tmp_path / "cfg.json", DIVERGING_FINETUNE_RAW)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(["finetune-matrix", "--config", cfgp, "--out", str(out)]) == 0
+    assert "2 cell(s) flagged" in capsys.readouterr().out
+    s = ResultBundle.load(str(out / "bundle.json")).summary
+    assert set(s["distance_flags"]) == {"0,0", "1,1"}
+    assert all(m.startswith("TrainingDivergedError: ") for m in s["distance_flags"].values())
+    assert s["base_complexities"] == [None, None]
+    assert s["distances"] == [[None, None], [None, None]]
 
 
 @pytest.mark.parametrize(
