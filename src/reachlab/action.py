@@ -36,14 +36,12 @@ class ActionBreakdown:
 
     ``total`` is the midpoint-discretized cost; ``static_term`` +
     ``dynamic_term`` differs from it by the quadrature defect, which the
-    decomposition tests drive to zero with dt.  ``per_segment`` sums to
-    ``total`` up to float associativity.
+    decomposition tests drive to zero with dt.
     """
 
     total: float
     static_term: float
     dynamic_term: float
-    per_segment: np.ndarray
 
     @property
     def defect(self):
@@ -79,7 +77,7 @@ def om_action(p, path, D):
     static = (p.value(W[-1]) - p.value(W[0])) / (2.0 * D)
     V = 0.5 * np.sum(g * g, axis=1) - D * lap  # the path potential
     dynamic = float(np.sum(dt * (0.5 * np.sum(v * v, axis=1) + V)) / (2.0 * D))
-    return ActionBreakdown(float(np.sum(per_seg)), float(static), dynamic, per_seg)
+    return ActionBreakdown(float(np.sum(per_seg)), float(static), dynamic)
 
 
 @dataclass(frozen=True)
@@ -383,16 +381,16 @@ class ChannelMarginalReport:
     tv_uncorrected: float
     equilibrated: bool
     n_samples: int
-    bin_edges: np.ndarray
-    hist: np.ndarray          # observed bin probabilities
-    corrected: np.ndarray     # predicted bin probabilities, exp(-a/D)/sqrt(b)
 
 
-def _binned_density(fn, edges, sub=16):
+_DENSITY_SUB = 16  # quadrature subintervals per bin
+
+
+def _binned_density(fn, edges):
     """Integrate an unnormalized density over bins; normalize over support."""
     mass = np.empty(edges.size - 1)
     for i in range(edges.size - 1):
-        us = np.linspace(edges[i], edges[i + 1], sub + 1)
+        us = np.linspace(edges[i], edges[i + 1], _DENSITY_SUB + 1)
         mid = 0.5 * (us[1:] + us[:-1])
         mass[i] = np.mean(fn(mid)) * (edges[i + 1] - edges[i])
     return mass / mass.sum()
@@ -459,7 +457,4 @@ def channel_marginal_check(ch, u0, D, params, n_runs, bins):
         tv_uncorrected=float(0.5 * np.abs(hist - uncorrected).sum()),
         equilibrated=equilibrated,
         n_samples=int(samples.size),
-        bin_edges=edges,
-        hist=hist,
-        corrected=corrected,
     )

@@ -353,6 +353,8 @@ def train_minimizers(task, cfg, restarts, name="task", posterior=None):
 
 # -- structure curves ---------------------------------------------------------
 
+_MONOTONE_TOL = 1e-6  # rise in expected loss that still counts as nonincreasing
+
 
 @dataclass(frozen=True)
 class StructureCurve:
@@ -372,10 +374,10 @@ class StructureCurve:
     def _converged(self):
         return sorted((r for r in self.records if r["converged"]), key=lambda r: r["kl_nats"])
 
-    def is_monotone(self, tol=1e-6):
-        """Expected loss nonincreasing along increasing KL, within tol."""
+    def is_monotone(self):
+        """Expected loss nonincreasing along increasing KL, within _MONOTONE_TOL."""
         lo = self.expected_loss()
-        return bool(np.all(np.diff(lo) <= tol))
+        return bool(np.all(np.diff(lo) <= _MONOTONE_TOL))
 
 
 def structure_curve(task, beta_grid, lambda2, trainer):
@@ -419,7 +421,7 @@ def trained_c_beta(data, model, beta, lambda2, trainer, name):
     return c_beta(tasks.Task(data, model), w, beta, lambda2).total
 
 
-def task_distance(d1, d2, model, beta, lambda2, trainer, names=("d1", "d2")):
+def task_distance(d1, d2, model, beta, lambda2, trainer):
     """d_beta(d1 -> d2) = C_beta(d1 u d2) - C_beta(d1), trained means.
 
     Both complexities use the same trainer config and seed, so the
@@ -428,6 +430,6 @@ def task_distance(d1, d2, model, beta, lambda2, trainer, names=("d1", "d2")):
     the base dataset.
     """
     union = tasks.concat(d1, d2, n_classes=model.n_classes)
-    c_base = trained_c_beta(d1, model, beta, lambda2, trainer, names[0])
-    c_union = trained_c_beta(union, model, beta, lambda2, trainer, f"{names[0]}+{names[1]}")
+    c_base = trained_c_beta(d1, model, beta, lambda2, trainer, "d1")
+    c_union = trained_c_beta(union, model, beta, lambda2, trainer, "d1+d2")
     return c_union - c_base

@@ -116,7 +116,6 @@ class EscapeStats:
     n_runs: int
     n_censored: int
     mean: float
-    std: float
     rate: float
 
     @classmethod
@@ -125,12 +124,10 @@ class EscapeStats:
         n_cens = n_runs - s.size
         if s.size:
             mean = float(np.mean(s))
-            std = float(np.std(s, ddof=1)) if s.size > 1 else 0.0
             rate = float(1.0 / mean) if mean > 0 else float("inf")
         else:
-            mean = std = float("nan")
-            rate = float("nan")
-        return cls(s, int(n_runs), int(n_cens), mean, std, rate)
+            mean = rate = float("nan")
+        return cls(s, int(n_runs), int(n_cens), mean, rate)
 
     @property
     def median(self):
@@ -345,12 +342,13 @@ def noise_covariance(task, w, batch_size, n_draws, seed):
 
     w = np.asarray(w, dtype=float)
     n = task.data.n
-    if n_draws < 2:
-        raise ContractError("n_draws must be >= 2")
+    if n_draws < 2 or batch_size < 1:
+        raise ContractError("n_draws must be >= 2 and batch_size >= 1")
     gs = tasklib.per_sample_grads(task, w)  # (n, d)
     rng = stream(seed)
     rows = np.empty((n_draws, gs.shape[1]))
-    chunk = max(1, int(2e6) // max(batch_size, 1))
+    # each pass gathers (chunk, batch_size, d) floats, within the package's budget
+    chunk = max(1, tasklib._BLOCK_BYTES // (8 * batch_size * gs.shape[1]))
     done = 0
     while done < n_draws:
         m = min(chunk, n_draws - done)
@@ -366,6 +364,8 @@ def exact_minibatch_covariance(task, w, batch_size):
     """Sigma_1 / B: population per-sample gradient covariance over batch size."""
     from . import tasks as tasklib
 
+    if batch_size < 1:
+        raise ContractError("batch_size must be >= 1")
     gs = tasklib.per_sample_grads(task, np.asarray(w, dtype=float))
     mu = gs.mean(axis=0)
     R = gs - mu

@@ -1,4 +1,11 @@
-"""Exception types shared across the package, and the type checks that raise them."""
+"""Exception types shared across the package, and the type checks that raise them.
+
+``DOMAIN_ERRORS`` is the one set of exceptions that count as a sweep
+cell's domain failure: the harness flags such a cell and goes on, and
+the CLI exits 3 on one raised outside a cell.  Anything else is a
+programming error and propagates.  This module imports only the
+standard library, so the CLI reads it before numpy loads.
+"""
 
 import numbers
 
@@ -43,6 +50,9 @@ class TrainingDivergedError(RuntimeError):
         # two-argument __init__ needs explicit pickle support, or the
         # exception cannot cross a worker-process boundary
         return (type(self), (self.dataset_name, self.message))
+
+
+DOMAIN_ERRORS = (ContractError, NumericalError, SimulationError, TrainingDivergedError)
 
 
 class ConfigError(ValueError):

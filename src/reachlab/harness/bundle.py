@@ -13,8 +13,9 @@ class ResultBundle:
     """Everything a run produced, minus the large per-cell artifacts.
 
     All fields except ``timing`` are pure functions of (kind, config),
-    which is what the determinism tests compare.  ``flags`` maps a cell
-    id to the domain error that kept it from producing a record.
+    which is what the determinism tests compare.  ``flags`` maps the key
+    of every failed cell, whatever its sweep, to the domain error
+    (``errors.DOMAIN_ERRORS``) that kept it from producing its result.
     """
 
     kind: str

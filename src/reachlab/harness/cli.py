@@ -2,8 +2,10 @@
 
     reachlab <kind> --config cfg.json --out results/ [--workers N] [--seed S]
 
-Exit codes: 0 success, 2 config rejected by the schema, 3 experiment
-failure (whatever completed stays on disk, plus an aborted.json note).
+Exit codes: 0 success, 2 config rejected by the schema, 3 a domain
+error (``errors.DOMAIN_ERRORS``) raised outside a cell, or a row its CSV
+schema rejects (whatever completed stays on disk, plus an aborted.json
+note).
 All configuration is explicit; no environment variable configures a run.
 Before any work, ``main`` sets ``OPENBLAS_NUM_THREADS`` to 1, unless the
 caller set it.  This module imports only the standard library and
@@ -21,23 +23,8 @@ import json
 import os
 import sys
 
-from ..errors import (
-    ConfigError,
-    ContractError,
-    NumericalError,
-    SchemaError,
-    SimulationError,
-    TrainingDivergedError,
-)
+from ..errors import DOMAIN_ERRORS, ConfigError, SchemaError
 from .io import canonical_json, write_atomic
-
-_RUNTIME_ERRORS = (
-    ContractError,
-    NumericalError,
-    SimulationError,
-    TrainingDivergedError,
-    SchemaError,
-)
 
 
 def build_parser():
@@ -127,7 +114,7 @@ def main(argv=None):
 
     try:
         bundle = run_experiment(cfg, args.out, workers=args.workers)
-    except _RUNTIME_ERRORS as exc:
+    except (*DOMAIN_ERRORS, SchemaError) as exc:
         os.makedirs(args.out, exist_ok=True)
         # serialized before its file opens, and renamed into place once whole
         note = canonical_json({"kind": cfg.kind, "config": cfg.snapshot(), "error": str(exc)})

@@ -13,15 +13,17 @@ an earlier run's ``bundle.json`` and ``aborted.json``, so a
 checkpoints and the action-check path CSV are per-kind artifacts
 written while the kind runs.
 
-Domain failures inside a cell (diverged training, an ensemble that
-never converges) flag that cell and the sweep continues; programming
-errors propagate and abort the run.  ``_sweep`` returns one result per
-cell, ``None`` for a flagged one, and ``_collect`` makes every flag key:
-the cell's own key (``rho=0.3``, ``D=0.0001``, a task label), plus
-``#k``, k the cell's index, when the grid repeats that key.
-finetune-matrix keeps its distance cells' flags (keys ``i,j``) in its
-summary.  A summary fit over points that ``rates.arrhenius_fit``
-rejects is ``null``.
+A cell that raises one of ``errors.DOMAIN_ERRORS`` (diverged training,
+an ensemble that never converges) is flagged and the sweep continues;
+programming errors propagate and abort the run.  ``_sweep`` returns one
+result per cell, ``None`` for a flagged one, and ``_collect`` makes
+every flag key: the cell's own key (``rho=0.3``, ``D=0.0001``, a task
+label), plus ``#k``, k the cell's index, when the grid repeats that
+key.  Every kind returns all its flags in the one ``flags`` dict; the
+sweeps of one kind use distinct key prefixes (finetune-matrix's
+``prep:``, ``cell:``, ``base:`` and ``union:``), so no two collide.  A
+summary fit over points that ``rates.arrhenius_fit`` rejects is
+``null``.
 
 Every kind steps ``diffusion``; the other science modules are imported
 by the functions that use them, so a run loads only what its kind runs
@@ -41,7 +43,7 @@ import numpy as np
 
 from .. import diffusion
 from .._version import __version__
-from ..errors import ContractError, NumericalError, SimulationError, TrainingDivergedError
+from ..errors import DOMAIN_ERRORS, ContractError, SimulationError
 from ..rng import stream
 from .bundle import ResultBundle, timing_stamp
 from .config import build_model, build_sgd, build_trainer, check_potential
@@ -50,8 +52,6 @@ from .io import CSV_SCHEMAS, PlotSet, canonical_json, write_atomic, write_csv, w
 # spawn-path tags under the experiment seed; one tag per purpose keeps
 # every consumer on a provably disjoint stream
 _DATA, _CORRUPT, _TRAIN, _CELL, _NOISE = 1, 2, 3, 4, 5
-
-_DOMAIN_ERRORS = (ContractError, NumericalError, SimulationError, TrainingDivergedError)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,7 +96,7 @@ def _sweep(fn, cells, workers):
         for call in calls:
             try:
                 outs.append(call())
-            except _DOMAIN_ERRORS as exc:
+            except DOMAIN_ERRORS as exc:
                 outs.append(exc)
     return _collect([key for key, _ in cells], outs)
 
@@ -224,7 +224,7 @@ def _kramers_group(args):
             pot, np.array(params["w0"]), np.array(params["target"]), params["radius"], cells,
             params["n_runs"],
         )
-    except _DOMAIN_ERRORS as exc:
+    except DOMAIN_ERRORS as exc:
         return [exc] * len(ks)
     return [out if isinstance(out, Exception) else _kramers_record(grid[k], out) for k, out in zip(ks, outs)]
 
@@ -569,14 +569,17 @@ def _finetune_matrix(cfg, out_dir, workers):
 
     # d(i -> j) = C(D_i u D_j) - C(D_i), the unions only for the bases
     # that trained; the diagonal is a measured union, not an assumed zero
-    base, dist_flags = _sweep(
-        _c_beta_cell, [(f"{i},{i}", (params, seed, i, None)) for i in range(n)], workers
+    base, base_flags = _sweep(
+        _c_beta_cell, [(f"base:{labels[i]}", (params, seed, i, None)) for i in range(n)], workers
     )
+    flags.update(base_flags)
     ij = [(i, j) for i in range(n) if base[i] is not None for j in range(n)]
     unions, union_flags = _sweep(
-        _c_beta_cell, [(f"{i},{j}", (params, seed, i, j)) for i, j in ij], workers
+        _c_beta_cell,
+        [(f"union:{labels[i]}+{labels[j]}", (params, seed, i, j)) for i, j in ij],
+        workers,
     )
-    dist_flags.update(union_flags)
+    flags.update(union_flags)
     dist = [[None] * n for _ in range(n)]
     for (i, j), c in zip(ij, unions):
         if c is not None:
@@ -611,7 +614,6 @@ def _finetune_matrix(cfg, out_dir, workers):
         "labels": labels,
         "median_times": times,
         "distances": dist,
-        "distance_flags": dist_flags,
         "base_complexities": [None if c is None else _finite_or_none(c) for c in base],
         "prep": preps,
         "spearman_distance_time": _spearman(

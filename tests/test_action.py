@@ -44,7 +44,6 @@ def test_action_of_straight_line_on_flat_potential():
     assert br.static_term == 0.0
     assert br.dynamic_term == 1.0
     assert br.defect == 0.0
-    assert br.per_segment.sum() == pytest.approx(br.total, rel=1e-15)
 
 
 def test_action_of_resting_at_a_minimum():
@@ -353,7 +352,7 @@ def _reference_minimum_action_path(p, w0, wf, T, n_knots, D, maxiter=1500):
 def _critical_path_bits(cp):
     a = cp.action
     return (cp.path.points.tobytes(), cp.path.times.tobytes(), a.total, a.static_term,
-            a.dynamic_term, a.per_segment.tobytes(), cp.el_residual, cp.el_scale, cp.converged)
+            a.dynamic_term, cp.el_residual, cp.el_scale, cp.converged)
 
 
 _MAP_CASES = {
@@ -524,9 +523,6 @@ def test_channel_marginal_matches_prediction():
     assert r.tv_corrected < 0.1
     # constant stiffness: the corrected and uncorrected predictions coincide
     assert r.tv_corrected == pytest.approx(r.tv_uncorrected, abs=1e-12)
-    assert r.hist.sum() == pytest.approx(1.0, rel=1e-12)
-    assert r.corrected.sum() == pytest.approx(1.0, rel=1e-12)
-    assert r.bin_edges.size == r.hist.size + 1
 
 
 def test_channel_marginal_penalizes_narrow_sections():

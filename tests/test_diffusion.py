@@ -187,7 +187,6 @@ def test_escape_stats_mean_is_conditional_on_passage():
     es = EscapeStats.from_times([2.0, 4.0], n_runs=5)
     assert es.n_censored == 3
     assert es.mean == 3.0
-    assert es.std == pytest.approx(np.sqrt(2.0))
     assert es.rate == pytest.approx(1.0 / 3.0)
     assert es.median == 3.0
     assert es.samples.tolist() == [2.0, 4.0]
@@ -427,6 +426,18 @@ def test_split_noise_draws_equal_the_chunk(seed):
             assert whole.tobytes() == split.tobytes()
 
 
+@pytest.mark.parametrize("seed", range(30))
+def test_split_index_draws_equal_the_chunk(seed):
+    # the SGD twin: a run's minibatch indices do not depend on how many
+    # steps each draw covers (the stepper's buffer, noise_covariance's chunks)
+    for n, B in ((100, 10), (40, 4), (7, 3), (800, 1), (3, 5)):
+        whole = stream(seed, 1).integers(0, n, size=(1024, B))
+        for pieces in ((6, 6, 1012), (1, 300, 723), (512, 512)):
+            g = stream(seed, 1)
+            split = np.concatenate([g.integers(0, n, size=(m, B)) for m in pieces])
+            assert whole.tobytes() == split.tobytes(), (n, B, pieces)
+
+
 def test_passage_edge_cases_match_the_per_step_loop():
     dw = landscape.DoubleWell1D()
     noisy = DiffusionParams(D=0.3, dt=5e-3, max_steps=3000, seed=2)
@@ -545,10 +556,25 @@ def test_noise_covariance_is_symmetric_psd(noisy_point):
     assert np.linalg.eigvalsh(C).min() >= -1e-12
 
 
+def test_noise_covariance_block_budget_moves_no_bit(noisy_point, monkeypatch):
+    # one draw per gather, gathers of 300 draws, and every draw in one gather
+    t, w = noisy_point
+    want = noise_covariance(t, w, 8, 700, seed=3)
+    for budget in (1, 8 * 8 * t.model.n_params * 300, 10**9):
+        monkeypatch.setattr(tasks, "_BLOCK_BYTES", budget)
+        assert noise_covariance(t, w, 8, 700, seed=3).tobytes() == want.tobytes(), budget
+
+
 def test_noise_covariance_contracts(noisy_point):
     t, w = noisy_point
     with pytest.raises(ContractError):
         noise_covariance(t, w, 8, 1, seed=0)
+    # a batch below 1 draws no minibatch: a typed error, not a NaN or a numpy error
+    for B in (0, -1):
+        with pytest.raises(ContractError, match="batch_size"):
+            noise_covariance(t, w, B, 5, seed=0)
+        with pytest.raises(ContractError, match="batch_size"):
+            exact_minibatch_covariance(t, w, B)
 
 
 # -- convergence times ----------------------------------------------------------------

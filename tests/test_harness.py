@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import reachlab
 from reachlab import complexity, diffusion, landscape, tasks
-from reachlab.errors import ConfigError, SchemaError, SimulationError
+from reachlab.errors import ConfigError, SchemaError, SimulationError, TrainingDivergedError
 from reachlab.harness import experiments
 from reachlab.harness.bundle import ResultBundle
 from reachlab.harness.cli import main as cli_main
@@ -165,7 +165,7 @@ FROZEN_OUTPUTS = {
         "plots/manifest.json": "d6bd110fb5f690d659069793aecaa14e8ccabfdffd9d15d99ed1e64c94481dbd",
     },
     "finetune-matrix": {
-        "bundle.json": "01d8874e8575f52b97a878e126e4ef253b63340428d2d734618f38d7295a688c",
+        "bundle.json": "0ae02dc0b68811500c78f0c309a0b48ba24cfabfc48a0f212e5ecb4e58c6f05f",
         "checkpoint/cell_0_0.json": "8388b0027ba715505e54026c7577b9aa46c32e06b1e72a11917c71c5edc1e927",
         "checkpoint/cell_0_1.json": "5f0d12e2683b7cbbfecffdb031387b2d1f07fe7df779775d2092e2aa93878704",
         "checkpoint/cell_1_0.json": "4f31c2089c823aea44649380df158e5967000c073c9cfdceaca9560dd24dd250",
@@ -784,10 +784,25 @@ def test_failed_cells_are_deterministic_across_workers(tmp_path):
     # every flag keeps its key and text whichever worker computed its cell
     cfg = parse_config("finetune-matrix", dict(DIVERGING_FINETUNE_RAW))
     b1 = experiments.run_experiment(cfg, str(tmp_path / "w1"), workers=1)
-    assert set(b1.flags) == {"prep:full", "prep:pair"}
-    assert set(b1.summary["distance_flags"]) == {"0,0", "1,1"}
+    assert set(b1.flags) == {"prep:full", "prep:pair", "base:full", "base:pair"}
     b3 = experiments.run_experiment(cfg, str(tmp_path / "w3"), workers=3)
     assert canonical_json(b3.result_fields()) == canonical_json(b1.result_fields())
+
+
+def test_a_failed_union_is_flagged_under_its_pair(tmp_path, monkeypatch):
+    # base and union flags share the bundle's flags without sharing a key
+    real = complexity.trained_c_beta
+
+    def diverge_on_unions_from_full(data, model, beta, lambda2, trainer, name):
+        if name.startswith("full+"):
+            raise TrainingDivergedError(name, "forced")
+        return real(data, model, beta, lambda2, trainer, name)
+
+    monkeypatch.setattr(complexity, "trained_c_beta", diverge_on_unions_from_full)
+    b = experiments.run_experiment(parse_config("finetune-matrix", dict(FINETUNE_RAW)), str(tmp_path))
+    assert set(b.flags) == {"union:full+full", "union:full+pair"}
+    assert b.summary["distances"][0] == [None, None]
+    assert None not in b.summary["distances"][1] + b.summary["base_complexities"]
 
 
 def test_rerun_reproduces_a_bundle_from_its_snapshot(tmp_path):
@@ -1293,10 +1308,15 @@ def test_cli_compares_huge_distances_without_overflow(tmp_path, capsys):
     assert "w0: the potential and its gradient must be finite" in capsys.readouterr().err
 
 
+# noise too weak to cross the barrier: every cell censors
+CENSORED_KRAMERS_RAW = dict(KRAMERS_RAW, d_grid=[1e-4, 2e-4, 3e-4], max_steps=200, n_runs=2)
+# the same, with a repeated grid key
+REPEATED_KRAMERS_RAW = dict(CENSORED_KRAMERS_RAW, d_grid=[1e-4, 1e-4, 2e-4, 3e-4])
+
+
 def test_cli_flags_censored_cells_but_still_succeeds(tmp_path, capsys):
-    # noise too weak to cross the barrier: cells are flagged, not fatal
-    raw = dict(KRAMERS_RAW, d_grid=[1e-4, 2e-4, 3e-4], max_steps=200, n_runs=2)
-    cfgp = _write_json(tmp_path / "cfg.json", raw)
+    # cells are flagged, not fatal
+    cfgp = _write_json(tmp_path / "cfg.json", CENSORED_KRAMERS_RAW)
     out = tmp_path / "out"
     rc = cli_main(["kramers-sweep", "--config", cfgp, "--out", str(out)])
     assert rc == 0
@@ -1313,10 +1333,12 @@ def test_cli_flags_diverged_distance_descents_but_still_succeeds(tmp_path, capsy
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli_main(["finetune-matrix", "--config", cfgp, "--out", str(out)]) == 0
-    assert "2 cell(s) flagged" in capsys.readouterr().out
-    s = ResultBundle.load(str(out / "bundle.json")).summary
-    assert set(s["distance_flags"]) == {"0,0", "1,1"}
-    assert all(m.startswith("TrainingDivergedError: ") for m in s["distance_flags"].values())
+    assert "4 cell(s) flagged" in capsys.readouterr().out
+    b = ResultBundle.load(str(out / "bundle.json"))
+    assert set(b.flags) == {"prep:full", "prep:pair", "base:full", "base:pair"}
+    assert all(m.startswith("TrainingDivergedError: ") for m in b.flags.values())
+    s = b.summary
+    assert "distance_flags" not in s
     assert s["base_complexities"] == [None, None]
     assert s["distances"] == [[None, None], [None, None]]
 
@@ -1324,11 +1346,7 @@ def test_cli_flags_diverged_distance_descents_but_still_succeeds(tmp_path, capsy
 @pytest.mark.parametrize(
     "kind, raw, keys",
     [
-        (
-            "kramers-sweep",
-            dict(KRAMERS_RAW, d_grid=[1e-4, 1e-4, 2e-4, 3e-4], max_steps=200, n_runs=2),
-            {"D=0.0001#0", "D=0.0001#1", "D=0.0002", "D=0.0003"},
-        ),
+        ("kramers-sweep", REPEATED_KRAMERS_RAW, {"D=0.0001#0", "D=0.0001#1", "D=0.0002", "D=0.0003"}),
         (
             "label-sweep",
             dict(LABEL_RAW, corruption_grid=[0.0, 0.3, 0.3000001], sgd=dict(LABEL_RAW["sgd"], max_steps=1)),
@@ -1344,6 +1362,23 @@ def test_cli_gives_every_failed_cell_its_own_flag(tmp_path, capsys, kind, raw, k
     assert f"{len(keys)} cell(s) flagged" in capsys.readouterr().out
     b = ResultBundle.load(str(tmp_path / "out" / "bundle.json"))
     assert b.records == [] and set(b.flags) == keys
+
+
+@pytest.mark.parametrize(
+    "kind, raw",
+    [
+        ("kramers-sweep", CENSORED_KRAMERS_RAW),
+        ("kramers-sweep", REPEATED_KRAMERS_RAW),
+        ("finetune-matrix", DIVERGING_FINETUNE_RAW),
+    ],
+    ids=["censored", "repeated", "finetune"],
+)
+def test_cli_counts_every_flag_of_the_bundle(tmp_path, capsys, kind, raw):
+    # the printed count reads the one flags dict, whatever the kind
+    cfgp = _write_json(tmp_path / "cfg.json", raw)
+    assert cli_main([kind, "--config", cfgp, "--out", str(tmp_path / "out")]) == 0
+    b = ResultBundle.load(str(tmp_path / "out" / "bundle.json"))
+    assert f"({len(b.flags)} cell(s) flagged)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
